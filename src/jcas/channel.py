@@ -25,6 +25,7 @@ __all__ = [
     "los_links",
     "calibrate_links",
     "random_binary_pattern",
+    "static_channel",
     "composite_channel",
     "scatter_rows",
     "measurement_matrix",
@@ -222,10 +223,7 @@ def calibrate_links(
     """
     g_los = np.sqrt(np.mean(np.abs(links.h_los) ** 2))
     theta = reference.coefficients
-    prods = [
-        links.h_irs1[r] @ (theta[:, None] * links.h_s1[r])
-        for r in range(links.n_ores)
-    ]
+    prods = [_direct_irs(links, reference, r) for r in range(links.n_ores)]
     g_irs = np.sqrt(np.mean(np.abs(np.stack(prods)) ** 2))
     # RMS of a single voxel's contribution to a scatter-channel entry
     cols = []
@@ -265,11 +263,28 @@ def scatter_rows(links: LinkSet, irs: IrsPattern, x, r: int):
     return excite @ w
 
 
+def _direct_irs(links: LinkSet, irs: IrsPattern, r: int):
+    """Direct IRS path H^IRS1 Theta H^s1 of ORE r: (N_u, N_R)."""
+    return links.h_irs1[r] @ (irs.coefficients[:, None] * links.h_s1[r])
+
+
+def static_channel(links: LinkSet, irs: IrsPattern):
+    """Scene-independent part H^LOS + H^IRS1 Theta H^s1 of every ORE: (R, N_u, N_R).
+
+    static_channel(links, irs)[r] + scatter_rows(links, irs, x, r) equals
+    composite_channel(links, irs, x, r) bit for bit, so a packet's channel
+    for any image x needs this part only once.
+    """
+    _check_pattern(links, irs)
+    return np.stack(
+        [links.h_los[r] + _direct_irs(links, irs, r) for r in range(links.n_ores)]
+    )
+
+
 def composite_channel(links: LinkSet, irs: IrsPattern, x, r: int):
     """Composite per-ORE channel H_r = H^LOS + H^IRS1 Theta H^s1 + scatter part."""
     _check_pattern(links, irs)
-    direct_irs = links.h_irs1[r] @ (irs.coefficients[:, None] * links.h_s1[r])
-    return links.h_los[r] + direct_irs + scatter_rows(links, irs, x, r)
+    return links.h_los[r] + _direct_irs(links, irs, r) + scatter_rows(links, irs, x, r)
 
 
 def measurement_matrix(links: LinkSet, irs: IrsPattern, nu: int, r: int):

@@ -31,13 +31,21 @@ _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
 
 @dataclass(frozen=True)
 class PriorParams:
-    """Truncated Bernoulli-Gaussian prior parameters (variances, not stds)."""
+    """Truncated Bernoulli-Gaussian prior parameters (variances, not stds).
+
+    alpha (the Gaussian mass outside (0, 1)) and spike_mass (1 - lam + alpha)
+    are derived from (lam, theta, sigma_x) once, at construction; the
+    instance is frozen, and dataclasses.replace constructs anew, so they
+    cannot go stale.
+    """
 
     lam: float = 0.05
     theta: float = 0.5
     sigma_x: float = 0.1
     sigma_w: float = 0.0
     renormalized: bool = False  # renormalize the truncated Gaussian branch
+    alpha: float = field(init=False, repr=False, compare=False)
+    spike_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.lam < 1:
@@ -48,19 +56,13 @@ class PriorParams:
             raise ValueError("prior variance must be positive")
         if self.sigma_w < 0:
             raise ValueError("noise variance must be nonnegative")
-        if not 0 < self.spike_mass <= 1:
-            raise ValueError("1 - lam + alpha must lie in (0, 1]")
-
-    @property
-    def alpha(self) -> float:
-        """Gaussian mass outside (0, 1), always recomputed from (lam, theta, sigma_x)."""
         s = np.sqrt(self.sigma_x)
         inside = norm.cdf((1 - self.theta) / s) - norm.cdf((0 - self.theta) / s)
-        return float(self.lam * (1.0 - inside))
-
-    @property
-    def spike_mass(self) -> float:
-        return 1.0 - self.lam + self.alpha
+        alpha = float(self.lam * (1.0 - inside))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "spike_mass", 1.0 - self.lam + alpha)
+        if not 0 < self.spike_mass <= 1:
+            raise ValueError("1 - lam + alpha must lie in (0, 1]")
 
 
 class GampDivergence(RuntimeError):

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import LinkSet, composite_channel, random_binary_pattern
+from .channel import LinkSet, random_binary_pattern, scatter_rows, static_channel
 from .gamp import GampDivergence, PriorParams
+from .metrics import mse
 from .mpa import ml_decode, mpa_decode, ser
 from .scma import Codebook
 from .scene import ScattererField
@@ -54,6 +55,10 @@ class JointConfig:
             raise ValueError("pilot count must lie in [0, n_packets]")
         if self.decoder not in ("mpa", "ml", "genie"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if not 0 <= self.mu < 1:
+            raise ValueError(f"momentum coefficient must lie in [0, 1), got {self.mu}")
+        if self.ore_mode not in ("user_first", "all_ores"):
+            raise ValueError(f"unknown ore_mode {self.ore_mode!r}")
 
 
 @dataclass
@@ -106,22 +111,17 @@ class JointRunner:
         self.window = SenseWindow(config.n_f)
         self.x_hat = np.zeros(n_s)
         self.gate_open = False  # once held, self-iteration collapses to 1
-        self._frames = {}  # packet -> true Frame (for SER bookkeeping)
-        self._x_hist = {0: self.x_hat.copy()}  # packet -> image after packet
+        # packet -> (true Frame, static channel part), for packets in the window
+        self._sent = {}
+        # packet -> image after it, for the packets feedback can still read
+        self._x_hist = {0: self.x_hat.copy()}
 
     # -- channel helpers ---------------------------------------------------
 
-    def _pattern(self, packet):
-        return random_binary_pattern(
-            self.links.h_s1.shape[1], packet, self.config.seed
-        )
-
-    def _channel(self, irs, x):
-        return np.stack(
-            [
-                composite_channel(self.links, irs, x, r)
-                for r in range(self.cb.n_ores)
-            ]
+    def _channel(self, irs, static, x):
+        """A packet's composite channel for image x: its static part plus the scatter."""
+        return static + np.stack(
+            [scatter_rows(self.links, irs, x, r) for r in range(self.cb.n_ores)]
         )
 
     def _decode(self, y, h_dec):
@@ -135,10 +135,10 @@ class JointRunner:
         """Transmit, decode against the predicted channel, image, self-iterate."""
         cfg = self.config
         t0 = time.perf_counter()
-        irs = self._pattern(packet)
-        h_true = self._channel(irs, self.truth.values)
+        irs = random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
+        static = static_channel(self.links, irs)
+        h_true = self._channel(irs, static, self.truth.values)
         frame = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
-        self._frames[packet] = frame
         rx = transmit(
             frame, h_true, self.cb, self.sigma2,
             np.random.SeedSequence((cfg.seed, 2, packet)),
@@ -149,10 +149,16 @@ class JointRunner:
             # pilot symbols are known a priori; nothing to decode
             symbols = frame.symbol_indices
         else:
-            h_dec = h_true if cfg.decoder == "genie" else self._channel(irs, self.x_hat)
+            h_dec = (
+                h_true if cfg.decoder == "genie"
+                else self._channel(irs, static, self.x_hat)
+            )
             decoded = self._decode(rx.y, h_dec)
             symbols = decoded.indices
         self.window.push(PacketRecord(packet, rx.y, symbols, irs))
+        self._sent[packet] = (frame, static)
+        live = {rec.packet for rec in self.window.records}
+        self._sent = {p: v for p, v in self._sent.items() if p in live}
 
         trace = PacketTrace(
             packet,
@@ -186,13 +192,18 @@ class JointRunner:
                 break
             if not is_pilot and it + 1 < k_s:
                 # re-decode this packet with the fresher image
-                h_dec = self._channel(irs, self.x_hat)
+                h_dec = self._channel(irs, static, self.x_hat)
                 decoded = self._decode(rx.y, h_dec)
                 self.window.update_symbols(packet, decoded.indices)
                 trace.ser = ser(decoded.indices, frame.symbol_indices)
-        trace.mse = float(np.mean((self.x_hat - self.truth.values) ** 2))
+        trace.mse = mse(self.x_hat, self.truth.values)
         trace.wall_ms = (time.perf_counter() - t0) * 1e3
+        # feedback after this packet reads packet - n_b - 1, later ones newer
+        # packets, so older images are dropped
         self._x_hist[packet] = self.x_hat.copy()
+        self._x_hist = {
+            p: x for p, x in self._x_hist.items() if p >= packet - cfg.n_b - 1
+        }
         return trace
 
     def feedback(self, packet: int, trace: RunTrace):
@@ -201,6 +212,8 @@ class JointRunner:
         Refreshes the stored decodes in the window and records each touched
         packet's post-feedback SER. Skipped entirely once the image has
         stopped moving over the feedback span (nothing left to revise).
+        Expects trace to hold one row per packet, in packet order, as run()
+        appends them.
         """
         cfg = self.config
         if cfg.n_b == 0 or packet <= cfg.n_b:
@@ -211,21 +224,20 @@ class JointRunner:
             and float(np.linalg.norm(self.x_hat - anchor)) < self.eps_k
         ):
             return
-        by_packet = {p.packet: p for p in trace.packets}
+        # the touched packets' rows are among the last n_b + 1
+        by_packet = {p.packet: p for p in trace.packets[-(cfg.n_b + 1):]}
         for rec in self.window.records:
             if not (packet - cfg.n_b <= rec.packet < packet):
                 continue
             if rec.packet <= cfg.n_pilot:
                 continue  # pilot symbols are already exact
-            irs = self._pattern(rec.packet)
-            h_dec = self._channel(irs, self.x_hat)
+            frame, static = self._sent[rec.packet]
+            h_dec = self._channel(rec.irs, static, self.x_hat)
             decoded = self._decode(rec.y, h_dec)
             self.window.update_symbols(rec.packet, decoded.indices)
             row = by_packet.get(rec.packet)
             if row is not None:
-                row.ser_post_feedback = ser(
-                    decoded.indices, self._frames[rec.packet].symbol_indices
-                )
+                row.ser_post_feedback = ser(decoded.indices, frame.symbol_indices)
 
     def run(self) -> RunTrace:
         trace = RunTrace()

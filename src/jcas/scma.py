@@ -8,6 +8,7 @@ arbitrary books can be loaded from file.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,19 +31,24 @@ class CodebookError(ValueError):
     """A structural codebook invariant is violated."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Per-user sparse codeword matrices.
 
     matrices[u] is the (R, M) complex codeword matrix of user u. d_f is the
     common per-ORE user count when d_f * R = d_v * N_u admits one, else None
     (irregular book with balanced ORE loads).
+
+    A book is immutable: matrices is a tuple of read-only copies of the
+    inputs, so the factor graph (validated and built on first use, see
+    factor_graph) stays true to it. Construction checks shapes only; a
+    structurally invalid book is rejected when its graph is first asked for.
     """
 
-    matrices: list = field(repr=False)
+    matrices: tuple = field(repr=False)
 
     def __post_init__(self):
-        mats = [np.asarray(m, dtype=complex) for m in self.matrices]
+        mats = tuple(np.array(m, dtype=complex) for m in self.matrices)
         if not mats:
             raise CodebookError("codebook needs at least one user")
         shape = mats[0].shape
@@ -51,7 +57,8 @@ class Codebook:
         for u, m in enumerate(mats):
             if m.shape != shape:
                 raise CodebookError(f"user {u}: codeword matrix shape {m.shape} != {shape}")
-        self.matrices = mats
+            m.flags.writeable = False
+        object.__setattr__(self, "matrices", mats)
 
     @property
     def n_users(self):
@@ -95,13 +102,15 @@ class Codebook:
                 loads[r] += 1
         return loads
 
-    def mapping_matrix(self, u):
-        """Binary R x N_c matrix placing the N_c constellation dims on user u's OREs."""
-        sup = self.support(u)
-        v = np.zeros((self.n_ores, len(sup)), dtype=int)
-        for t, r in enumerate(sup):
-            v[r, t] = 1
-        return v
+    @cached_property
+    def _graph(self) -> "FactorGraph":
+        validate_codebook(self)
+        omega = tuple(self.support(u) for u in range(self.n_users))
+        lam = tuple(
+            tuple(u for u in range(self.n_users) if r in omega[u])
+            for r in range(self.n_ores)
+        )
+        return FactorGraph(lam, omega)
 
 
 @dataclass(frozen=True)
@@ -232,14 +241,13 @@ def bits_to_index(bits) -> int:
 
 
 def factor_graph(cb: Codebook) -> FactorGraph:
-    """FN/VN adjacency induced by codeword supports."""
-    validate_codebook(cb)
-    omega = tuple(cb.support(u) for u in range(cb.n_users))
-    lam = tuple(
-        tuple(u for u in range(cb.n_users) if r in omega[u])
-        for r in range(cb.n_ores)
-    )
-    return FactorGraph(lam, omega)
+    """FN/VN adjacency induced by codeword supports.
+
+    Validated and built once per book, on the first call, and returned from
+    the book's cache after that. An invalid book raises CodebookError on
+    every call and caches nothing.
+    """
+    return cb._graph
 
 
 def _fmt_complex(z):

@@ -4,6 +4,15 @@ Per packet: least-squares channel estimation over the time dimension, exact
 subtraction of the known LOS and direct-IRS parts, then stacking the
 windowed scatter rows into one compressed-sensing system solved by GAMP,
 optionally blended with the previous estimate (momentum).
+
+A PacketRecord computes each of its per-packet products once and keeps it:
+its EstimatedChannel and the scatter component of each ORE (both derived
+from its current decode), and the measurement matrix of each (user, ORE)
+(derived from its IRS pattern alone). Replacing the record's symbols, by
+SenseWindow.update_symbols or by assigning symbol_indices, drops the
+estimate and the scatter components; the measurement matrices stay. A
+record is sensed against one codebook and one link set: no cache is keyed
+on them.
 """
 
 from collections import deque
@@ -99,6 +108,29 @@ class PacketRecord:
     symbol_indices: np.ndarray = field(repr=False)  # (N_T, N_u), current decode
     irs: IrsPattern = None
     _mats: dict = field(default_factory=dict, repr=False)
+    # estimate and ORE -> scatter component of the current decode
+    _est: EstimatedChannel | None = field(default=None, init=False, repr=False)
+    _scat: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __setattr__(self, name, value):
+        if name == "symbol_indices":
+            # a new decode makes everything estimated from the old one stale
+            super().__setattr__("_est", None)
+            super().__setattr__("_scat", {})
+        super().__setattr__(name, value)
+
+    def estimate(self, cb: Codebook) -> EstimatedChannel:
+        """Channel estimate of the current decode, computed once per decode."""
+        if self._est is None:
+            self._est = estimate_channel(self.y, self.symbol_indices, cb)
+        return self._est
+
+    def scatter(self, links: LinkSet, cb: Codebook, r: int):
+        """Scatter component (N_u, N_R) of ORE r under the current estimate."""
+        est = self.estimate(cb)
+        if r not in self._scat:
+            self._scat[r] = scatter_component(est.h[r], links, self.irs, r)
+        return self._scat[r]
 
     def matrix(self, links: LinkSet, nu: int, r: int):
         """Measurement matrix for (user, ORE), cached (pattern-dependent only)."""
@@ -162,9 +194,8 @@ def sense(
     graph = factor_graph(cb)
     rows, mats, noise_vars = [], [], []
     for rec in window.records:
-        est = estimate_channel(rec.y, rec.symbol_indices, cb)
+        est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
-        scat = {}
         for nu in range(cb.n_users):
             ores = graph.omega_u[nu]
             if ore_mode == "user_first":
@@ -172,9 +203,7 @@ def sense(
             for r in ores:
                 if not est.observed[r, nu]:
                     continue
-                if r not in scat:
-                    scat[r] = scatter_component(est.h[r], links, rec.irs, r)
-                rows.append(scat[r][nu])
+                rows.append(rec.scatter(links, cb, r)[nu])
                 mats.append(rec.matrix(links, nu, r))
     if not rows:
         raise ValueError("no observable channel rows in the window")

@@ -15,6 +15,7 @@ from jcas.channel import (
     save_geometry,
     scatter_rows,
     stack_measurements,
+    static_channel,
 )
 from jcas.scene import voxel_centers
 
@@ -130,6 +131,17 @@ def test_composite_channel_empty_scene_is_los_plus_irs(links, room):
     h = composite_channel(links, irs, np.zeros(room.n_voxels), 0)
     direct = links.h_irs1[0] @ (irs.coefficients[:, None] * links.h_s1[0])
     assert np.allclose(h, links.h_los[0] + direct, rtol=1e-12)
+
+
+def test_static_channel_plus_scatter_is_composite_bit_for_bit(links, truth):
+    irs = random_binary_pattern(400, 4, 7)
+    static = static_channel(links, irs)
+    assert static.shape == (links.n_ores, links.n_users, links.n_antennas)
+    for r in range(links.n_ores):
+        assert np.array_equal(
+            static[r] + scatter_rows(links, irs, truth.values, r),
+            composite_channel(links, irs, truth.values, r),
+        )
 
 
 def test_stack_measurements_shapes(links, room):

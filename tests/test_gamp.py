@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ def test_alpha_is_outside_mass():
     # N(0.5, 0.04): (0,1) is +-2.5 sigma, so about 1.24% falls outside
     assert np.isclose(q.alpha, 0.2 * 2 * 0.00621, rtol=0.01)
     assert np.isclose(q.spike_mass, 1 - q.lam + q.alpha)
+
+
+def test_replace_recomputes_derived_masses():
+    q = PriorParams(lam=0.2, theta=0.5, sigma_x=0.04)
+    q2 = replace(q, lam=0.1)
+    fresh = PriorParams(lam=0.1, theta=0.5, sigma_x=0.04)
+    assert q2.alpha == fresh.alpha and q2.spike_mass == fresh.spike_mass
+    assert q2.alpha != q.alpha
+    assert q2.spike_mass == 1 - 0.1 + q2.alpha
+    with pytest.raises(ValueError):
+        replace(q, alpha=0.0)  # derived, not a parameter
 
 
 def test_g_in_matches_grid_search():

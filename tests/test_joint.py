@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jcas.joint import JointConfig, JointRunner, run_joint
+from jcas.joint import JointConfig, JointRunner, RunTrace, run_joint
+from jcas.scma import build_codebook
 
 
 def _cfg(**kw):
@@ -22,6 +23,17 @@ def test_config_validation():
         JointConfig(decoder="bogus")
     with pytest.raises(ValueError):
         JointConfig(k_s=0)
+
+
+def test_config_rejects_momentum_outside_unit_interval():
+    for mu in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="momentum"):
+            JointConfig(mu=mu)
+
+
+def test_config_rejects_unknown_ore_mode():
+    with pytest.raises(ValueError, match="ore_mode"):
+        JointConfig(ore_mode="bogus")
 
 
 def test_run_is_deterministic(truth, links, codebook, prior):
@@ -113,3 +125,26 @@ def test_noiseless_run_exact(truth, links, codebook, prior):
     tr = run_joint(truth, links, codebook, prior, cfg)
     assert np.all(tr.column("ser") == 0)
     assert tr.packets[-1].mse <= 1e-6
+
+
+def test_runners_share_no_state(truth, links, codebook, prior):
+    cols = ("mse", "ser", "gate", "ks_used")
+    a = run_joint(truth, links, codebook, prior, _cfg())
+    # a runner on another book in between must not leak into the next one
+    run_joint(truth, links, build_codebook(6, 4, m=2, d_v=2), prior, _cfg(n_packets=3))
+    b = run_joint(truth, links, codebook, prior, _cfg())
+    for name in cols:
+        assert a.column(name).tolist() == b.column(name).tolist()
+    assert np.array_equal(a.x_final, b.x_final)
+
+
+def test_runner_history_is_bounded(truth, links, codebook, prior):
+    cfg = _cfg(n_f=3, n_b=1, n_packets=9, n_pilot=0)
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    trace = RunTrace()
+    for packet in range(1, cfg.n_packets + 1):
+        trace.packets.append(runner.forward_step(packet))
+        runner.feedback(packet, trace)
+        assert len(runner._x_hist) <= cfg.n_b + 2
+        assert len(runner._sent) <= cfg.n_f
+    assert any(p.ser_post_feedback is not None for p in trace.packets)

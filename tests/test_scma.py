@@ -138,3 +138,33 @@ def test_codebook_load_errors(tmp_path):
     path.write_text("wrong header\n")
     with pytest.raises(CodebookError):
         load_codebook(path)
+
+
+def test_factor_graph_is_built_once_per_book():
+    cb = build_codebook(12, 7, m=4, d_v=2)
+    assert factor_graph(cb) is factor_graph(cb)
+    assert factor_graph(default_codebook()) is not factor_graph(cb)
+
+
+def test_factor_graph_rejects_invalid_book_on_every_call():
+    amp = 1 / np.sqrt(2)
+    mat = np.zeros((3, 2), dtype=complex)
+    mat[0] = [amp, -amp]
+    mat[1] = [amp, -amp]
+    cb = Codebook([mat, mat * 1j])  # unbalanced loads (2, 2, 0)
+    for _ in range(2):
+        with pytest.raises(CodebookError):
+            factor_graph(cb)
+
+
+def test_codebook_holds_read_only_copies():
+    src = [m.copy() for m in default_codebook().matrices]
+    cb = Codebook(src)
+    graph = factor_graph(cb)
+    src[0][:] = 0  # the caller's arrays are not the book's
+    assert np.any(cb.matrices[0] != 0)
+    with pytest.raises(ValueError):
+        cb.matrices[0][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        cb.matrices[0] = src[0]
+    assert factor_graph(cb) is graph

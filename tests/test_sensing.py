@@ -77,6 +77,38 @@ def test_window_ring_buffer_and_update():
     assert win.records[1].symbol_indices[0, 0] == 1
 
 
+def _assert_same_estimate(a, b):
+    assert np.array_equal(a.h, b.h)
+    assert np.array_equal(a.observed, b.observed)
+    assert a.noise_var == b.noise_var
+
+
+def test_record_cache_follows_its_decode(links, truth, codebook):
+    sigma2 = noise_sigma(5.0, codebook)
+    irs, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
+    rec = PacketRecord(2, rx.y, frame.symbol_indices, irs)
+    win = SenseWindow(2)
+    win.push(rec)
+    est = rec.estimate(codebook)
+    assert rec.estimate(codebook) is est
+    assert rec.scatter(links, codebook, 1) is rec.scatter(links, codebook, 1)
+
+    rng = np.random.default_rng(0)
+    for replace_symbols in (
+        lambda sym: win.update_symbols(2, sym),
+        lambda sym: setattr(rec, "symbol_indices", sym),
+    ):
+        sym = rng.integers(0, codebook.m, frame.symbol_indices.shape)
+        replace_symbols(sym)
+        fresh = estimate_channel(rx.y, sym, codebook)
+        _assert_same_estimate(rec.estimate(codebook), fresh)
+        for r in range(codebook.n_ores):
+            assert np.array_equal(
+                rec.scatter(links, codebook, r),
+                scatter_component(fresh.h[r], links, irs, r),
+            )
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         SenseWindow(0)
