@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "PriorParams",
@@ -57,7 +56,7 @@ class PriorParams:
         if self.sigma_w < 0:
             raise ValueError("noise variance must be nonnegative")
         s = np.sqrt(self.sigma_x)
-        inside = norm.cdf((1 - self.theta) / s) - norm.cdf((0 - self.theta) / s)
+        inside = ndtr((1 - self.theta) / s) - ndtr((0 - self.theta) / s)
         alpha = float(self.lam * (1.0 - inside))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "spike_mass", 1.0 - self.lam + alpha)
@@ -149,6 +148,8 @@ def map_objective(phi, y, x, q: PriorParams) -> float:
 
 def _polish_support(phi, y, q: PriorParams, support):
     """Best x restricted to a support: box-constrained ridge LS toward theta."""
+    from scipy.optimize import lsq_linear  # slow to import; only restarts > 0 get here
+
     n = phi.shape[1]
     x = np.zeros(n)
     if support:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .scma import Codebook
 
@@ -75,7 +75,7 @@ def cs_bound(bp: BoundParams) -> float:
 
 def _q(x):
     """Gaussian tail function Q(x) = P(N(0,1) > x)."""
-    return norm.sf(x)
+    return ndtr(-x)
 
 
 def ser_union_bound(

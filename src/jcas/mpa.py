@@ -5,10 +5,25 @@ channel h (R, N_u, N_R) and are vectorized over slots and antennas. AP
 antennas decode independently; their final per-user beliefs are combined by
 a product (log-domain sum) before the argmax.
 
-sigma2 is the total complex noise variance (see transceiver). A sigma2 of
-zero is guarded by an absolute floor of 1e-300; combined with the per-slot
-max-rescaling of the likelihood exponent this degrades gracefully to hard
-nearest-combination decisions instead of overflowing.
+MPA layout: the B = N_R*N_T (antenna, slot) pairs are independent copies of
+the same message passing, so they form the last, contiguous axis of every
+array, antenna-major (b = n*N_T + t). FN r's likelihood table is (M^L, B)
+for its L users, the row index being their joint symbol in base M with the
+first user of lambda_r most significant; every message is (M, B). Summing out one user is then one
+einsum over a long contiguous axis, from the front ("mkb,mb->kb") or the
+back ("kmb,mb->kb") of the table.
+
+MPA schedule per round: for each FN, a prefix chain sums out the users from
+the front and a suffix chain from the back, one table pass each; user i's
+FN->VN message comes from the smaller of prefix[i] and suffix[i+1], with the
+users still left in it summed out. Then every VN sends each of its FNs the
+normalized product of its other FNs' messages. Messages start uniform.
+
+sigma2 is the total complex noise variance (see transceiver) and must be
+finite and >= 0. A sigma2 of zero is guarded by an absolute floor of 1e-300;
+combined with the per-slot max-rescaling of the likelihood exponent this
+degrades gracefully to hard nearest-combination decisions instead of
+overflowing. Messages are floored at 1e-300 before each normalization.
 """
 
 import itertools
@@ -90,13 +105,73 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
     return DecodeResult(digits.astype(int))
 
 
-def _contract_first(arr, msg):
-    """Contract axis 1 (one user's M axis) of (B, M, ...) with per-row messages."""
-    return np.einsum("bm...,bm->b...", arr, msg)
+def _contract_first(table, msg):
+    """Sum the leading user axis of a (M^k, B) table against msg (M, B)."""
+    m, b = msg.shape
+    return np.einsum("mkb,mb->kb", table.reshape(m, -1, b), msg)
 
 
-def _contract_last(arr, msg):
-    return np.einsum("b...m,bm->b...", arr, msg)
+def _contract_last(table, msg):
+    """Sum the trailing user axis of a (M^k, B) table against msg (M, B)."""
+    m, b = msg.shape
+    return np.einsum("kmb,mb->kb", table.reshape(-1, m, b), msg)
+
+
+def _likelihood(y_r, mean, sigma_eff):
+    """FN table exp(-(d2 - min d2) / sigma_eff) of shape (C, B), built in place.
+
+    y_r is (N_R, N_T), mean (C, N_R); d2 = |y - mean|^2 per (combo, n, t) and
+    the min runs over the combos of each (n, t), so the best row is exp(0) = 1.
+    The in-place steps round exactly like the expression. mean must be
+    C-ordered: numpy lays the difference out like its inputs, and a
+    transposed mean would put B first in memory.
+    """
+    t = np.abs(y_r[None, :, :] - mean[:, :, None]).reshape(len(mean), -1)
+    np.square(t, out=t)
+    t -= t.min(axis=0)
+    np.negative(t, out=t)
+    np.divide(t, sigma_eff, out=t)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(t, out=t)
+    return t
+
+
+def _extrinsics(table, msgs):
+    """Per-user sums of one FN's table weighted by the other users' messages.
+
+    table is (M^L, B) with user 0 the most significant digit; msgs[i] is user
+    i's (M, B) message. prefix[k] (users 0..k-1 summed out) and suffix[k]
+    (users k..L-1 summed out) are built as two chains; user i reads the
+    smaller of prefix[i] and suffix[i+1] and sums out the users left in it.
+    """
+    n = len(msgs)
+    half = (n + 1) // 2  # users below half read the suffix chain
+    ext = [None] * n
+    t = table
+    for k in range(n, 0, -1):  # t = suffix[k]
+        if k < n:
+            t = _contract_last(t, msgs[k])
+        if k <= half:
+            e = t
+            for j in range(k - 1):
+                e = _contract_first(e, msgs[j])
+            ext[k - 1] = e
+    t = table
+    for k in range(1, n):  # t = prefix[k]
+        t = _contract_first(t, msgs[k - 1])
+        if k >= half:
+            e = t
+            for j in range(n - 1, k, -1):
+                e = _contract_last(e, msgs[j])
+            ext[k] = e
+    return ext
+
+
+def _normalized(p):
+    """Floor p (M, B) at _TINY and normalize each column."""
+    p = p + _TINY
+    p /= p.sum(axis=0)
+    return p
 
 
 def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResult:
@@ -109,12 +184,16 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
     """
     if k_it < 1:
         raise ValueError("need at least one iteration")
+    sigma2 = float(sigma2)
+    if not np.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     y, h = _check_inputs(y, h, cb)
     graph = factor_graph(cb)
     n_t, _, n_r = y.shape
     b = n_t * n_r
     m = cb.m
-    sigma_eff = max(float(sigma2), _SIGMA_FLOOR)
+    y_b = np.ascontiguousarray(y.transpose(1, 2, 0))  # (R, N_R, N_T)
+    sigma_eff = max(sigma2, _SIGMA_FLOOR)
 
     # per-FN likelihood tables over the M^L joint symbol grid of its users
     lik = []
@@ -124,53 +203,38 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
         idx = np.arange(combos)
         digits = (idx[None, :] // (m ** np.arange(L - 1, -1, -1))[:, None]) % m
         cw = np.stack([cb.matrices[u][r, digits[i]] for i, u in enumerate(users)])
-        mean = np.einsum("ic,in->nc", cw, h[r][list(users), :])  # (N_R, C)
-        d2 = np.abs(y[:, r, :, None] - mean[None, :, :]) ** 2  # (N_T, N_R, C)
-        d2 -= d2.min(axis=2, keepdims=True)
-        with np.errstate(over="ignore", under="ignore"):
-            t = np.exp(-d2 / sigma_eff)
-        lik.append(t.reshape((b,) + (m,) * L))
+        mean = np.einsum("ic,in->cn", cw, h[r][list(users), :])
+        lik.append(_likelihood(y_b[r], mean, sigma_eff))
 
-    mu_vf = {
-        (u, r): np.full((b, m), 1.0 / m)
-        for u in range(cb.n_users)
-        for r in graph.omega_u[u]
-    }
+    uniform = np.full((m, b), 1.0 / m)
+    mu_vf = {(u, r): uniform for u in range(cb.n_users) for r in graph.omega_u[u]}
     mu_fv = {}
     for _ in range(k_it):
         # FN -> VN: marginalize the likelihood grid over the other users,
         # weighting by their incoming messages (prefix/suffix contractions)
         for r, users in enumerate(graph.lambda_r):
-            L = len(users)
-            msgs = [mu_vf[(u, r)] for u in users]
-            prefix = [lik[r]]
-            for i in range(L - 1):
-                prefix.append(_contract_first(prefix[i], msgs[i]))
-            for i in range(L - 1, -1, -1):
-                out = prefix[i]
-                for j in range(L - 1, i, -1):
-                    out = _contract_last(out, msgs[j])
-                out = out + _TINY
-                mu_fv[(r, users[i])] = out / out.sum(axis=1, keepdims=True)
+            ext = _extrinsics(lik[r], [mu_vf[(u, r)] for u in users])
+            for u, e in zip(users, ext):
+                mu_fv[(r, u)] = _normalized(e)
         # VN -> FN: extrinsic product over the user's other OREs, normalized
         for u in range(cb.n_users):
             ores = graph.omega_u[u]
             for r in ores:
-                prod = np.ones((b, m))
+                prod = np.ones((m, b))
                 for j in ores:
                     if j != r:
                         prod = prod * mu_fv[(j, u)]
-                prod = prod + _TINY
-                mu_vf[(u, r)] = prod / prod.sum(axis=1, keepdims=True)
+                mu_vf[(u, r)] = _normalized(prod)
+    del lik, mu_vf
 
     # final beliefs: product over the user's OREs, antennas combined in log domain
     indices = np.zeros((n_t, cb.n_users), dtype=int)
     posts = np.zeros((n_t, cb.n_users, m))
     for u in range(cb.n_users):
-        logb = np.zeros((b, m))
+        logb = np.zeros((m, b))
         for j in graph.omega_u[u]:
             logb += np.log(mu_fv[(j, u)] + _TINY)
-        logb = logb.reshape(n_t, n_r, m).sum(axis=1)
+        logb = logb.reshape(m, n_r, n_t).sum(axis=1).T
         logb -= logb.max(axis=1, keepdims=True)
         p = np.exp(logb)
         p /= p.sum(axis=1, keepdims=True)

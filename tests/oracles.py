@@ -1,13 +1,16 @@
 """Independent reference implementations used to check the fast code paths.
 
 Everything here trades speed for obviousness: grid searches, exhaustive
-enumeration and scipy's generic solvers.
+enumeration, scipy's generic solvers and the straightforward einsum MPA.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import lsq_linear
+
+from jcas.mpa import DecodeResult
+from jcas.scma import factor_graph
 
 _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
 
@@ -81,3 +84,77 @@ def map_support_enumeration(phi, y, q, max_support=2):
         if obj > best_obj:
             best_obj, best_x, best_sup = obj, x, sup
     return best_x, best_sup
+
+
+def mpa_reference(y, h, cb, sigma2, k_it=10):
+    """Per-antenna SCMA message passing with slot-major tables, one einsum per
+    contraction and every extrinsic built from the prefix chain.
+
+    Same schedule, floors and normalizations as jcas.mpa.mpa_decode, whose
+    posteriors it must match to rounding and whose decisions it must match
+    exactly. y is (N_T, R, N_R), h (R, N_u, N_R).
+    """
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    graph = factor_graph(cb)
+    n_t, _, n_r = y.shape
+    b = n_t * n_r
+    m = cb.m
+    sigma_eff = max(float(sigma2), 1e-300)
+    tiny = 1e-300
+
+    lik = []
+    for r, users in enumerate(graph.lambda_r):
+        n_l = len(users)
+        idx = np.arange(m**n_l)
+        digits = (idx[None, :] // (m ** np.arange(n_l - 1, -1, -1))[:, None]) % m
+        cw = np.stack([cb.matrices[u][r, digits[i]] for i, u in enumerate(users)])
+        mean = np.einsum("ic,in->nc", cw, h[r][list(users), :])  # (N_R, C)
+        d2 = np.abs(y[:, r, :, None] - mean[None, :, :]) ** 2  # (N_T, N_R, C)
+        d2 -= d2.min(axis=2, keepdims=True)
+        with np.errstate(over="ignore", under="ignore"):
+            t = np.exp(-d2 / sigma_eff)
+        lik.append(t.reshape((b,) + (m,) * n_l))
+
+    mu_vf = {
+        (u, r): np.full((b, m), 1.0 / m)
+        for u in range(cb.n_users)
+        for r in graph.omega_u[u]
+    }
+    mu_fv = {}
+    for _ in range(k_it):
+        for r, users in enumerate(graph.lambda_r):
+            n_l = len(users)
+            msgs = [mu_vf[(u, r)] for u in users]
+            prefix = [lik[r]]
+            for i in range(n_l - 1):
+                prefix.append(np.einsum("bm...,bm->b...", prefix[i], msgs[i]))
+            for i in range(n_l - 1, -1, -1):
+                out = prefix[i]
+                for j in range(n_l - 1, i, -1):
+                    out = np.einsum("b...m,bm->b...", out, msgs[j])
+                out = out + tiny
+                mu_fv[(r, users[i])] = out / out.sum(axis=1, keepdims=True)
+        for u in range(cb.n_users):
+            ores = graph.omega_u[u]
+            for r in ores:
+                prod = np.ones((b, m))
+                for j in ores:
+                    if j != r:
+                        prod = prod * mu_fv[(j, u)]
+                prod = prod + tiny
+                mu_vf[(u, r)] = prod / prod.sum(axis=1, keepdims=True)
+
+    indices = np.zeros((n_t, cb.n_users), dtype=int)
+    posts = np.zeros((n_t, cb.n_users, m))
+    for u in range(cb.n_users):
+        logb = np.zeros((b, m))
+        for j in graph.omega_u[u]:
+            logb += np.log(mu_fv[(j, u)] + tiny)
+        logb = logb.reshape(n_t, n_r, m).sum(axis=1)
+        logb -= logb.max(axis=1, keepdims=True)
+        p = np.exp(logb)
+        p /= p.sum(axis=1, keepdims=True)
+        posts[:, u, :] = p
+        indices[:, u] = np.argmax(p, axis=1)
+    return DecodeResult(indices, posts)

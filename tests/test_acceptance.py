@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from jcas.channel import (
     OreGrid,
@@ -28,6 +29,8 @@ from jcas.scma import build_codebook, default_codebook
 from jcas.transceiver import noise_sigma, random_frame, transmit
 
 from oracles import g_in_grid_search, map_support_enumeration
+
+pytestmark = pytest.mark.slow
 
 
 def _report(n, ok, detail):

@@ -3,6 +3,7 @@ import pytest
 
 from jcas.channel import (
     C_LIGHT,
+    _distances,
     Geometry,
     IrsPattern,
     OreGrid,
@@ -180,3 +181,13 @@ def test_voxel_links_cover_all_voxels(links, room):
     assert links.h_s2.shape == (4, 512, 400)
     centers = voxel_centers(room)
     assert centers.shape == (512, 3)
+
+
+def test_distances_match_scipy_cdist(geometry, room):
+    """los_links' numpy distances are bit-equal to scipy's cdist, so links and
+    scene files do not depend on which one computed them."""
+    from scipy.spatial.distance import cdist
+
+    vox = voxel_centers(room)
+    for a, b in ((geometry.users, geometry.ap), (geometry.irs, geometry.ap), (vox, geometry.irs)):
+        assert np.array_equal(_distances(a, b), cdist(a, b))

@@ -1,9 +1,12 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jcas.harness
 from jcas.cli import main
 from jcas.harness import (
     ExperimentConfig,
@@ -181,3 +184,21 @@ def test_cli_validate(tmp_path):
     bad.write_text("garbage\n")
     assert main(["validate", str(bad)]) == 1
     assert main(["validate", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    """Importing the loop loads only scipy.special; stats, spatial and optimize
+    are slow to import and the loop does not need them."""
+    src = os.path.dirname(os.path.dirname(jcas.harness.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys, jcas.harness, jcas.joint; "
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.spatial', 'scipy.optimize')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

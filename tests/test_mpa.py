@@ -7,6 +7,8 @@ from jcas.mpa import ml_decode, mpa_decode, ser
 from jcas.scma import build_codebook, default_codebook
 from jcas.transceiver import noise_sigma, random_frame, transmit
 
+from oracles import mpa_reference
+
 
 def _rand_channel(cb, n_ant, seed, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -130,3 +132,34 @@ def test_mpa_input_validation():
         mpa_decode(np.zeros((2, 3, 2), dtype=complex), h, cb, 0.1)
     with pytest.raises(ValueError):
         mpa_decode(np.zeros((2, 4, 2), dtype=complex), h, cb, 0.1, k_it=0)
+
+
+@pytest.mark.parametrize("sigma2", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_mpa_rejects_bad_sigma2(sigma2):
+    cb = default_codebook()
+    h = _rand_channel(cb, 2, 0)
+    with pytest.raises(ValueError, match="sigma2"):
+        mpa_decode(np.zeros((2, 4, 2), dtype=complex), h, cb, sigma2)
+
+
+@pytest.mark.parametrize("n_ant", [1, 4, 16])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("shape", [(6, 4), (20, 7)])
+def test_mpa_matches_reference(shape, m, n_ant):
+    """Same decisions as the einsum reference and posteriors equal to rounding,
+    on regular (6 users, 4 OREs, d_f=3) and irregular (20 on 7, d_f 5-6) books.
+
+    Cases: noiseless with sigma2 = 0, noisy at 4 dB with its sigma2, and the
+    noisy frame decoded with sigma2 = 0, where only the per-slot rescale of
+    the likelihood keeps every slot's table from underflowing."""
+    cb = build_codebook(*shape, m=m, d_v=2)
+    h = _rand_channel(cb, n_ant, 19)
+    frame = random_frame(12, cb, 0, 20)
+    noisy = transmit(frame, h, cb, noise_sigma(4.0, cb), seed=21)
+    cases = [(transmit(frame, h, cb, 0.0).y, 0.0), (noisy.y, noisy.sigma2), (noisy.y, 0.0)]
+    for y, sigma2 in cases:
+        for k_it in (1, 10):
+            fast = mpa_decode(y, h, cb, sigma2, k_it)
+            ref = mpa_reference(y, h, cb, sigma2, k_it)
+            assert np.array_equal(fast.indices, ref.indices)
+            assert np.allclose(fast.posteriors, ref.posteriors, rtol=0, atol=1e-12)
