@@ -10,7 +10,7 @@ The window sweep at the end shows the estimate sharpening as more packets
 
 import numpy as np
 
-from jcas.channel import OreGrid, calibrate_links, composite_channel, los_links, random_binary_pattern
+from jcas.channel import OreGrid, PacketChannel, calibrate_links, los_links, random_binary_pattern
 from jcas.gamp import PriorParams
 from jcas.harness import default_geometry
 from jcas.scene import RoomSpec, random_scene
@@ -33,17 +33,16 @@ sigma2 = noise_sigma(10.0, cb)
 prior = PriorParams(lam=8 / spec.n_voxels, theta=0.5, sigma_x=0.1)
 
 def make_packet(k):
-    irs = random_binary_pattern(geom.irs.shape[0], k, 3)
-    h = np.stack([composite_channel(links, irs, truth.values, r) for r in range(cb.n_ores)])
+    ch = PacketChannel(links, random_binary_pattern(geom.irs.shape[0], k, 3))
     frame = random_frame(64, cb, k, 3)
-    rx = transmit(frame, h, cb, sigma2, seed=(5, k))
-    return PacketRecord(k, rx.y, frame.symbol_indices, irs)
+    rx = transmit(frame, ch.channel(truth.values), cb, sigma2, seed=(5, k))
+    return PacketRecord(k, rx.y, frame.symbol_indices, ch)
 
 print("window sweep (pilot symbols, 10 dB):")
 window = SenseWindow(n_f=10)
 for k in range(1, 11):
     window.push(make_packet(k))
-    x_hat, info = sense(window, links, cb, prior)
+    x_hat, info = sense(window, cb, prior)
     err = float(np.mean((x_hat - truth.values) ** 2))
     print(f"  {k:2d} packet(s): MSE {err:.3e}  ({info.iterations} solver iterations)")
 

@@ -7,6 +7,8 @@ alpha = c / (4*pi*d*f) and phi = -2*pi*f*d/c for endpoint distance d.
 
 The scattered part is linear in the scatterer vector x, which is what turns
 channel estimates into compressed-sensing measurements of the environment.
+A PacketChannel holds the two products one IRS pattern fixes; a packet's
+composite channel, scatter rows and measurement matrices all follow from it.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +26,10 @@ __all__ = [
     "los_links",
     "calibrate_links",
     "random_binary_pattern",
-    "static_channel",
+    "PacketChannel",
     "composite_channel",
     "scatter_rows",
     "measurement_matrix",
-    "stack_measurements",
     "save_geometry",
     "load_geometry",
 ]
@@ -230,17 +231,11 @@ def calibrate_links(
     h_irs1 and h_s3 carry the path scales.
     """
     g_los = np.sqrt(np.mean(np.abs(links.h_los) ** 2))
-    theta = reference.coefficients
-    prods = [_direct_irs(links, reference, r) for r in range(links.n_ores)]
-    g_irs = np.sqrt(np.mean(np.abs(np.stack(prods)) ** 2))
+    ch = PacketChannel(links, reference)
+    g_irs = np.sqrt(np.mean(np.abs(ch.static - links.h_los) ** 2))
     # RMS of a single voxel's contribution to a scatter-channel entry
-    cols = []
-    for r in range(links.n_ores):
-        w = theta[:, None] * links.h_s1[r]
-        for nu in range(links.n_users):
-            b = (links.h_s3[r, nu][:, None] * links.h_s2[r]) @ w
-            cols.append(np.mean(np.abs(b) ** 2))
-    g_vox = np.sqrt(np.mean(cols))
+    ores, users = np.divmod(np.arange(links.n_ores * links.n_users), links.n_users)
+    g_vox = np.sqrt(np.mean(np.abs(ch.matrices(ores, users)) ** 2))
     g_scatter = mean_coefficient * np.sqrt(expected_scatterers) * g_vox
     return LinkSet(
         links.frequencies,
@@ -252,71 +247,60 @@ def calibrate_links(
     )
 
 
-def _check_pattern(links: LinkSet, irs: IrsPattern):
-    if irs.n_elements != links.h_s1.shape[1]:
-        raise ValueError(
-            f"IRS pattern has {irs.n_elements} elements, links expect {links.h_s1.shape[1]}"
-        )
+class PacketChannel:
+    """One packet's channel operator: every channel quantity under one IRS pattern.
+
+    Holds the scene-independent part static[r] = H^LOS + H^IRS1 Theta H^s1
+    (R, N_u, N_R) and the scatter operator g[r] = h_s2[r] Theta h_s1[r]
+    (R, N_s, N_R). The scattered channel of image x is linear in x through g.
+    """
+
+    def __init__(self, links: LinkSet, irs: IrsPattern):
+        if irs.n_elements != links.h_s1.shape[1]:
+            raise ValueError(
+                f"IRS pattern has {irs.n_elements} elements, links expect {links.h_s1.shape[1]}"
+            )
+        self.links = links
+        self.irs = irs
+        w = irs.coefficients[:, None] * links.h_s1  # (R, N_I, N_R)
+        self.static = links.h_los + links.h_irs1 @ w
+        self.g = links.h_s2 @ w
+
+    def scatter(self, x):
+        """Scattered rows H^s of every ORE: (R, N_u, N_R), row nu = x^T diag(h_s3) g."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.links.n_voxels,):
+            raise ValueError(f"x must have length {self.links.n_voxels}")
+        return (self.links.h_s3 * x) @ self.g
+
+    def channel(self, x):
+        """Composite channel of every ORE for image x: (R, N_u, N_R)."""
+        return self.static + self.scatter(x)
+
+    def matrices(self, ores, users):
+        """Stacked CS measurement matrices (len, N_R, N_s) of (ORE, user) pairs.
+
+        matrices(ores, users)[i] @ x equals scatter(x)[ores[i], users[i]].
+        """
+        a = self.g[ores] * self.links.h_s3[ores, users][:, :, None]
+        return a.transpose(0, 2, 1)
 
 
 def scatter_rows(links: LinkSet, irs: IrsPattern, x, r: int):
     """Scattered channel rows H_r^s: (N_u, N_R), row nu = x^T diag(h_s3) h_s2 Theta h_s1."""
-    _check_pattern(links, irs)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (links.n_voxels,):
-        raise ValueError(f"x must have length {links.n_voxels}")
-    w = irs.coefficients[:, None] * links.h_s1[r]  # (N_I, N_R)
-    # (x * h_s3) @ h_s2 gives each user's weighted field at the IRS
-    excite = (links.h_s3[r] * x[None, :]) @ links.h_s2[r]  # (N_u, N_I)
-    return excite @ w
-
-
-def _direct_irs(links: LinkSet, irs: IrsPattern, r: int):
-    """Direct IRS path H^IRS1 Theta H^s1 of ORE r: (N_u, N_R)."""
-    return links.h_irs1[r] @ (irs.coefficients[:, None] * links.h_s1[r])
-
-
-def static_channel(links: LinkSet, irs: IrsPattern):
-    """Scene-independent part H^LOS + H^IRS1 Theta H^s1 of every ORE: (R, N_u, N_R).
-
-    static_channel(links, irs)[r] + scatter_rows(links, irs, x, r) equals
-    composite_channel(links, irs, x, r) bit for bit, so a packet's channel
-    for any image x needs this part only once.
-    """
-    _check_pattern(links, irs)
-    return np.stack(
-        [links.h_los[r] + _direct_irs(links, irs, r) for r in range(links.n_ores)]
-    )
+    return PacketChannel(links, irs).scatter(x)[r]
 
 
 def composite_channel(links: LinkSet, irs: IrsPattern, x, r: int):
     """Composite per-ORE channel H_r = H^LOS + H^IRS1 Theta H^s1 + scatter part."""
-    _check_pattern(links, irs)
-    return links.h_los[r] + _direct_irs(links, irs, r) + scatter_rows(links, irs, x, r)
+    return PacketChannel(links, irs).channel(x)[r]
 
 
 def measurement_matrix(links: LinkSet, irs: IrsPattern, nu: int, r: int):
     """CS measurement matrix A (N_R x N_s) with A @ x = (scatter row of user nu)^T."""
-    _check_pattern(links, irs)
     if not 0 <= nu < links.n_users:
         raise IndexError(f"user index {nu} out of range")
-    w = irs.coefficients[:, None] * links.h_s1[r]  # (N_I, N_R)
-    b = (links.h_s3[r, nu][:, None] * links.h_s2[r]) @ w  # (N_s, N_R)
-    return b.T
-
-
-def stack_measurements(rows, mats):
-    """Stack per-(packet, user) scatter rows and matrices into one linear system.
-
-    rows: list of (N_R,) vectors (transposed scatter rows), mats: list of
-    matching (N_R, N_s) measurement matrices. Returns (h_tilde, a_tilde).
-    """
-    if len(rows) == 0 or len(rows) != len(mats):
-        raise ValueError("rows and mats must be nonempty and aligned")
-    for h, a in zip(rows, mats):
-        if np.asarray(h).shape[0] != np.asarray(a).shape[0]:
-            raise ValueError("row/matrix block shapes disagree")
-    return np.concatenate(rows), np.vstack(mats)
+    return PacketChannel(links, irs).matrices([r], [nu])[0]
 
 
 def save_geometry(path, geom: Geometry):

@@ -30,7 +30,7 @@ from .channel import (
     load_geometry,
     random_binary_pattern,
 )
-from .gamp import PriorParams
+from .gamp import GampDivergence, PriorParams
 from .joint import JointConfig, JointRunner
 from .scene import RoomSpec, ScattererField, load_scene, random_scene, save_scene
 from .scma import Codebook, build_codebook, load_codebook
@@ -255,8 +255,10 @@ def _fmt(v):
 def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     """Run the sweep and write trace.csv / summary.csv / scene snapshots.
 
-    A failing sweep point is reported (via log, default print) and skipped;
-    the remaining points still run. Returns the list of output paths.
+    A sweep point that fails on its inputs or numerics (ValueError,
+    SweepError, GampDivergence, LinAlgError) is reported (via log, default
+    print) and skipped; the remaining points still run. Any other exception
+    is a bug and propagates. Returns the list of output paths.
     """
     log = log or print
     out = output_dir or os.environ.get("JCAS_OUTPUT_DIR") or cfg.output
@@ -272,7 +274,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             try:
                 truth, links, cb, prior, jc = build_system(cfg, value, trial)
                 run = JointRunner(truth, links, cb, prior, jc).run()
-            except Exception as exc:  # report and keep sweeping
+            except (ValueError, SweepError, GampDivergence, np.linalg.LinAlgError) as exc:
+                # report and keep sweeping (CodebookError is a ValueError)
                 failures.append((value, trial, exc))
                 log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {exc}")
                 continue

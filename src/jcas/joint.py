@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import LinkSet, random_binary_pattern, scatter_rows, static_channel
+from .channel import LinkSet, PacketChannel, random_binary_pattern
 from .gamp import GampDivergence, PriorParams
 from .metrics import mse
 from .mpa import ml_decode, mpa_decode, ser
@@ -101,6 +101,11 @@ class JointRunner:
         self.cb = cb
         self.prior = prior
         self.config = config
+        if config.n_slots < cb.max_d_f:
+            raise ValueError(
+                f"n_slots ({config.n_slots}) must be >= the codebook's largest "
+                f"d_f (cb.max_d_f = {cb.max_d_f}) for channel estimation"
+            )
         n_s = truth.spec.n_voxels
         self.eps_k = (
             config.eps_k
@@ -111,18 +116,12 @@ class JointRunner:
         self.window = SenseWindow(config.n_f)
         self.x_hat = np.zeros(n_s)
         self.gate_open = False  # once held, self-iteration collapses to 1
-        # packet -> (true Frame, static channel part), for packets in the window
+        # packet -> true Frame, for packets in the window
         self._sent = {}
         # packet -> image after it, for the packets feedback can still read
         self._x_hist = {0: self.x_hat.copy()}
 
-    # -- channel helpers ---------------------------------------------------
-
-    def _channel(self, irs, static, x):
-        """A packet's composite channel for image x: its static part plus the scatter."""
-        return static + np.stack(
-            [scatter_rows(self.links, irs, x, r) for r in range(self.cb.n_ores)]
-        )
+    # -- decoding -----------------------------------------------------------
 
     def _decode(self, y, h_dec):
         if self.config.decoder == "ml":
@@ -135,9 +134,10 @@ class JointRunner:
         """Transmit, decode against the predicted channel, image, self-iterate."""
         cfg = self.config
         t0 = time.perf_counter()
-        irs = random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
-        static = static_channel(self.links, irs)
-        h_true = self._channel(irs, static, self.truth.values)
+        ch = PacketChannel(
+            self.links, random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
+        )
+        h_true = ch.channel(self.truth.values)
         frame = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
         rx = transmit(
             frame, h_true, self.cb, self.sigma2,
@@ -149,14 +149,11 @@ class JointRunner:
             # pilot symbols are known a priori; nothing to decode
             symbols = frame.symbol_indices
         else:
-            h_dec = (
-                h_true if cfg.decoder == "genie"
-                else self._channel(irs, static, self.x_hat)
-            )
+            h_dec = h_true if cfg.decoder == "genie" else ch.channel(self.x_hat)
             decoded = self._decode(rx.y, h_dec)
             symbols = decoded.indices
-        self.window.push(PacketRecord(packet, rx.y, symbols, irs))
-        self._sent[packet] = (frame, static)
+        self.window.push(PacketRecord(packet, rx.y, symbols, ch))
+        self._sent[packet] = frame
         live = {rec.packet for rec in self.window.records}
         self._sent = {p: v for p, v in self._sent.items() if p in live}
 
@@ -176,7 +173,7 @@ class JointRunner:
             mu = cfg.mu if self.gate_open else 0.0
             try:
                 self.x_hat, _ = sense(
-                    self.window, self.links, self.cb, self.prior,
+                    self.window, self.cb, self.prior,
                     mu=mu, ore_mode=cfg.ore_mode,
                 )
             except GampDivergence:
@@ -192,7 +189,7 @@ class JointRunner:
                 break
             if not is_pilot and it + 1 < k_s:
                 # re-decode this packet with the fresher image
-                h_dec = self._channel(irs, static, self.x_hat)
+                h_dec = ch.channel(self.x_hat)
                 decoded = self._decode(rx.y, h_dec)
                 self.window.update_symbols(packet, decoded.indices)
                 trace.ser = ser(decoded.indices, frame.symbol_indices)
@@ -231,8 +228,8 @@ class JointRunner:
                 continue
             if rec.packet <= cfg.n_pilot:
                 continue  # pilot symbols are already exact
-            frame, static = self._sent[rec.packet]
-            h_dec = self._channel(rec.irs, static, self.x_hat)
+            frame = self._sent[rec.packet]
+            h_dec = rec.channel.channel(self.x_hat)
             decoded = self._decode(rec.y, h_dec)
             self.window.update_symbols(rec.packet, decoded.indices)
             row = by_packet.get(rec.packet)

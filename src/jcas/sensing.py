@@ -5,14 +5,15 @@ subtraction of the known LOS and direct-IRS parts, then stacking the
 windowed scatter rows into one compressed-sensing system solved by GAMP,
 optionally blended with the previous estimate (momentum).
 
-A PacketRecord computes each of its per-packet products once and keeps it:
-its EstimatedChannel and the scatter component of each ORE (both derived
-from its current decode), and the measurement matrix of each (user, ORE)
-(derived from its IRS pattern alone). Replacing the record's symbols, by
-SenseWindow.update_symbols or by assigning symbol_indices, drops the
-estimate and the scatter components; the measurement matrices stay. A
-record is sensed against one codebook and one link set: no cache is keyed
-on them.
+A PacketRecord carries its packet's PacketChannel, which holds the static
+channel part and the scatter operator of the packet's IRS pattern. The
+record computes two products of its current decode once and keeps them: its
+EstimatedChannel and the scatter components of all OREs (the estimate minus
+the static part). Replacing the record's symbols, by
+SenseWindow.update_symbols or by assigning symbol_indices, drops both.
+Measurement matrices are not kept: sense builds each record's matrices from
+its PacketChannel while stacking. A record is sensed against one codebook:
+no cache is keyed on it.
 """
 
 from collections import deque
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import IrsPattern, LinkSet, measurement_matrix, stack_measurements
+from .channel import PacketChannel
 from .gamp import PriorParams, gamp_solve, lift_complex
 from .scma import Codebook, factor_graph
 from .transceiver import codeword_tensor, Frame
@@ -30,7 +31,6 @@ __all__ = [
     "PacketRecord",
     "SenseWindow",
     "estimate_channel",
-    "scatter_component",
     "sense",
 ]
 
@@ -92,13 +92,6 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
     return EstimatedChannel(h, observed, noise_var)
 
 
-def scatter_component(h_r, links: LinkSet, irs: IrsPattern, r: int):
-    """Isolate the scattered part: subtract the known LOS and direct-IRS parts."""
-    h_r = np.asarray(h_r, dtype=complex)
-    direct_irs = links.h_irs1[r] @ (irs.coefficients[:, None] * links.h_s1[r])
-    return h_r - links.h_los[r] - direct_irs
-
-
 @dataclass
 class PacketRecord:
     """One packet's worth of sensing inputs kept in the sliding window."""
@@ -106,17 +99,16 @@ class PacketRecord:
     packet: int
     y: np.ndarray = field(repr=False)  # (N_T, R, N_R)
     symbol_indices: np.ndarray = field(repr=False)  # (N_T, N_u), current decode
-    irs: IrsPattern = None
-    _mats: dict = field(default_factory=dict, repr=False)
-    # estimate and ORE -> scatter component of the current decode
+    channel: PacketChannel = None
+    # estimate and scatter components (R, N_u, N_R) of the current decode
     _est: EstimatedChannel | None = field(default=None, init=False, repr=False)
-    _scat: dict = field(default_factory=dict, init=False, repr=False)
+    _scat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __setattr__(self, name, value):
         if name == "symbol_indices":
             # a new decode makes everything estimated from the old one stale
             super().__setattr__("_est", None)
-            super().__setattr__("_scat", {})
+            super().__setattr__("_scat", None)
         super().__setattr__(name, value)
 
     def estimate(self, cb: Codebook) -> EstimatedChannel:
@@ -125,19 +117,14 @@ class PacketRecord:
             self._est = estimate_channel(self.y, self.symbol_indices, cb)
         return self._est
 
-    def scatter(self, links: LinkSet, cb: Codebook, r: int):
-        """Scatter component (N_u, N_R) of ORE r under the current estimate."""
-        est = self.estimate(cb)
-        if r not in self._scat:
-            self._scat[r] = scatter_component(est.h[r], links, self.irs, r)
-        return self._scat[r]
+    def scatter(self, cb: Codebook):
+        """Scatter components (R, N_u, N_R): the estimate minus the static part.
 
-    def matrix(self, links: LinkSet, nu: int, r: int):
-        """Measurement matrix for (user, ORE), cached (pattern-dependent only)."""
-        key = (nu, r)
-        if key not in self._mats:
-            self._mats[key] = measurement_matrix(links, self.irs, nu, r)
-        return self._mats[key]
+        Entries of unobserved (ORE, user) pairs carry no measurement.
+        """
+        if self._scat is None:
+            self._scat = self.estimate(cb).h - self.channel.static
+        return self._scat
 
 
 @dataclass
@@ -171,7 +158,6 @@ class SenseWindow:
 
 def sense(
     window: SenseWindow,
-    links: LinkSet,
     cb: Codebook,
     prior: PriorParams,
     mu: float = 0.0,
@@ -191,23 +177,25 @@ def sense(
         raise ValueError("sense window is empty")
     if ore_mode not in ("user_first", "all_ores"):
         raise ValueError(f"unknown ore_mode {ore_mode!r}")
-    graph = factor_graph(cb)
+    # (ORE, user) pairs in stacking order: user by user, each user's OREs
+    pairs = [
+        (r, nu)
+        for nu, ores in enumerate(factor_graph(cb).omega_u)
+        for r in (ores[:1] if ore_mode == "user_first" else ores)
+    ]
+    ores_all, users_all = np.array(pairs).T
     rows, mats, noise_vars = [], [], []
     for rec in window.records:
         est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
-        for nu in range(cb.n_users):
-            ores = graph.omega_u[nu]
-            if ore_mode == "user_first":
-                ores = ores[:1]
-            for r in ores:
-                if not est.observed[r, nu]:
-                    continue
-                rows.append(rec.scatter(links, cb, r)[nu])
-                mats.append(rec.matrix(links, nu, r))
-    if not rows:
+        keep = est.observed[ores_all, users_all]
+        ores, users = ores_all[keep], users_all[keep]
+        rows.append(rec.scatter(cb)[ores, users])
+        mats.append(rec.channel.matrices(ores, users))
+    h_tilde = np.concatenate(rows).ravel()
+    if h_tilde.size == 0:
         raise ValueError("no observable channel rows in the window")
-    h_tilde, a_tilde = stack_measurements(rows, mats)
+    a_tilde = np.concatenate(mats).reshape(h_tilde.size, -1)
     phi, yv = lift_complex(a_tilde, h_tilde)
     # lifted real parts carry half the complex estimate variance each
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcas.channel import (
     C_LIGHT,
@@ -7,6 +8,7 @@ from jcas.channel import (
     Geometry,
     IrsPattern,
     OreGrid,
+    PacketChannel,
     calibrate_links,
     composite_channel,
     load_geometry,
@@ -15,10 +17,12 @@ from jcas.channel import (
     random_binary_pattern,
     save_geometry,
     scatter_rows,
-    stack_measurements,
-    static_channel,
 )
 from jcas.scene import voxel_centers
+from jcas.sensing import EstimatedChannel, PacketRecord, SenseWindow, sense
+
+# quick and reproducible: a fixed example sequence, no per-example deadline
+_props = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 def test_ore_grid_uniform_band():
@@ -136,7 +140,7 @@ def test_composite_channel_empty_scene_is_los_plus_irs(links, room):
 
 def test_static_channel_plus_scatter_is_composite_bit_for_bit(links, truth):
     irs = random_binary_pattern(400, 4, 7)
-    static = static_channel(links, irs)
+    static = PacketChannel(links, irs).static
     assert static.shape == (links.n_ores, links.n_users, links.n_antennas)
     for r in range(links.n_ores):
         assert np.array_equal(
@@ -145,16 +149,74 @@ def test_static_channel_plus_scatter_is_composite_bit_for_bit(links, truth):
         )
 
 
-def test_stack_measurements_shapes(links, room):
-    irs = random_binary_pattern(400, 1, 7)
-    x = np.zeros(room.n_voxels)
-    rows = [scatter_rows(links, irs, x, 0)[nu] for nu in range(3)]
-    mats = [measurement_matrix(links, irs, nu, 0) for nu in range(3)]
-    h, a = stack_measurements(rows, mats)
+def test_stack_measurements_shapes(links, room, codebook, prior):
+    ch = PacketChannel(links, random_binary_pattern(400, 1, 7))
+    ores, users = [0, 0, 0], [0, 1, 2]
+    h = ch.scatter(np.zeros(room.n_voxels))[ores, users].ravel()
+    a = ch.matrices(ores, users)
+    assert a.shape == (3, links.n_antennas, room.n_voxels)
     assert h.shape == (3 * links.n_antennas,)
-    assert a.shape == (3 * links.n_antennas, room.n_voxels)
-    with pytest.raises(ValueError):
-        stack_measurements([], [])
+    assert a.reshape(h.size, -1).shape == (3 * links.n_antennas, room.n_voxels)
+    # a window without one observed (ORE, user) pair has nothing to stack
+    rec = PacketRecord(1, None, None, ch)
+    rec._est = EstimatedChannel(
+        np.zeros_like(ch.static), np.zeros((links.n_ores, links.n_users), dtype=bool)
+    )
+    win = SenseWindow(1)
+    win.push(rec)
+    with pytest.raises(ValueError, match="observable"):
+        sense(win, codebook, prior)
+
+
+def _pattern(rng, n):
+    """IRS pattern with amplitudes in [0, 1] and arbitrary phases."""
+    return IrsPattern(rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+
+
+@_props
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-4, 4), b=st.floats(-4, 4))
+def test_packet_channel_scatter_is_linear(links, seed, a, b):
+    rng = np.random.default_rng(seed)
+    ch = PacketChannel(links, _pattern(rng, 400))
+    x1, x2 = rng.uniform(0, 1, (2, links.n_voxels))
+    s1, s2 = ch.scatter(x1), ch.scatter(x2)
+    err = np.linalg.norm(ch.scatter(a * x1 + b * x2) - (a * s1 + b * s2))
+    assert err <= 1e-12 * (abs(a) * np.linalg.norm(s1) + abs(b) * np.linalg.norm(s2))
+
+
+@_props
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=12),
+)
+def test_packet_channel_matrices_give_scatter_rows(links, seed, pairs):
+    rng = np.random.default_rng(seed)
+    ch = PacketChannel(links, _pattern(rng, 400))
+    x = rng.uniform(0, 1, links.n_voxels)
+    ores, users = np.array(pairs, dtype=int).reshape(-1, 2).T
+    a = ch.matrices(ores, users)
+    assert a.shape == (len(pairs), links.n_antennas, links.n_voxels)
+    assert np.allclose(a @ x, ch.scatter(x)[ores, users], rtol=1e-10)
+
+
+@_props
+@given(seed=st.integers(0, 2**32 - 1))
+def test_packet_channel_is_static_plus_scatter_bit_for_bit(links, seed):
+    rng = np.random.default_rng(seed)
+    ch = PacketChannel(links, _pattern(rng, 400))
+    x = rng.uniform(0, 1, links.n_voxels) * (rng.uniform(size=links.n_voxels) < 0.1)
+    assert np.array_equal(ch.static + ch.scatter(x), ch.channel(x))
+
+
+def test_packet_channel_boundary_checks(links):
+    with pytest.raises(ValueError, match="399 elements"):
+        PacketChannel(links, random_binary_pattern(399, 1, 7))
+    ch = PacketChannel(links, random_binary_pattern(400, 1, 7))
+    for bad in (np.zeros(links.n_voxels - 1), np.zeros((2, links.n_voxels))):
+        with pytest.raises(ValueError, match="length"):
+            ch.scatter(bad)
+        with pytest.raises(ValueError, match="length"):
+            ch.channel(bad)
 
 
 def test_geometry_roundtrip(tmp_path, geometry):

@@ -166,6 +166,19 @@ def test_failed_sweep_point_reported_not_fatal(tmp_path):
     assert "n_users,6" in body and "n_users,300" not in body
 
 
+def test_bug_in_sweep_point_propagates(small_cfg, tmp_path, monkeypatch):
+    """A programming error is not reported as a failed sweep point."""
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the loop")
+
+    monkeypatch.setattr(jcas.harness, "JointRunner", broken)
+    messages = []
+    with pytest.raises(TypeError, match="bug in the loop"):
+        run_experiment(small_cfg, output_dir=str(tmp_path / "out"), log=messages.append)
+    assert messages == []
+
+
 def test_cli_run_and_compare(tmp_path, capsys):
     ini = tmp_path / "exp.ini"
     ini.write_text(SMALL_INI.format(out=tmp_path / "out"))

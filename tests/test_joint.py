@@ -148,3 +148,11 @@ def test_runner_history_is_bounded(truth, links, codebook, prior):
         assert len(runner._x_hist) <= cfg.n_b + 2
         assert len(runner._sent) <= cfg.n_f
     assert any(p.ser_post_feedback is not None for p in trace.packets)
+
+
+def test_runner_rejects_fewer_slots_than_largest_d_f(truth, links, codebook, prior):
+    # the default book puts 3 users on each ORE: 2 slots cannot separate them
+    assert codebook.max_d_f == 3
+    with pytest.raises(ValueError, match=r"n_slots \(2\).*max_d_f = 3"):
+        JointRunner(truth, links, codebook, prior, _cfg(n_slots=2))
+    JointRunner(truth, links, codebook, prior, _cfg(n_slots=3))
