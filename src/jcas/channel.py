@@ -251,8 +251,9 @@ class PacketChannel:
     """One packet's channel operator: every channel quantity under one IRS pattern.
 
     Holds the scene-independent part static[r] = H^LOS + H^IRS1 Theta H^s1
-    (R, N_u, N_R) and the scatter operator g[r] = h_s2[r] Theta h_s1[r]
-    (R, N_s, N_R). The scattered channel of image x is linear in x through g.
+    (R, N_u, N_R) and the scatter operator g[r] = (h_s2[r] Theta h_s1[r])^T,
+    stored (R, N_R, N_s) in the row order of the stacked measurement
+    matrices. The scattered channel of image x is linear in x through g.
     """
 
     def __init__(self, links: LinkSet, irs: IrsPattern):
@@ -264,14 +265,14 @@ class PacketChannel:
         self.irs = irs
         w = irs.coefficients[:, None] * links.h_s1  # (R, N_I, N_R)
         self.static = links.h_los + links.h_irs1 @ w
-        self.g = links.h_s2 @ w
+        self.g = np.ascontiguousarray((links.h_s2 @ w).transpose(0, 2, 1))
 
     def scatter(self, x):
         """Scattered rows H^s of every ORE: (R, N_u, N_R), row nu = x^T diag(h_s3) g."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.links.n_voxels,):
             raise ValueError(f"x must have length {self.links.n_voxels}")
-        return (self.links.h_s3 * x) @ self.g
+        return (self.links.h_s3 * x) @ self.g.transpose(0, 2, 1)
 
     def channel(self, x):
         """Composite channel of every ORE for image x: (R, N_u, N_R)."""
@@ -282,8 +283,7 @@ class PacketChannel:
 
         matrices(ores, users)[i] @ x equals scatter(x)[ores[i], users[i]].
         """
-        a = self.g[ores] * self.links.h_s3[ores, users][:, :, None]
-        return a.transpose(0, 2, 1)
+        return self.g[ores] * self.links.h_s3[ores, users][:, None, :]
 
 
 def scatter_rows(links: LinkSet, irs: IrsPattern, x, r: int):

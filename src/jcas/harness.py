@@ -2,15 +2,17 @@
 packet budget, with deterministic CSV and point-cloud outputs.
 
 Config files are INI-style (configparser) with [experiment], [scenario] and
-[joint] sections; see ExperimentConfig.from_file. Child seeds are a pure
-function of (master seed, sweep value, trial): the sweep value is keyed as
-round(value * 1000) so float axes (dB, momentum) stay stable.
+[joint] sections; see ExperimentConfig.from_file. A ";" at the start of a
+value or after whitespace starts a comment; "%" is literal. Child seeds are
+a pure function of (master seed, sweep value, trial): the sweep value is
+keyed as round(value * 1000) so float axes (dB, momentum) stay stable.
 
 Outputs per run: trace.csv (one row per packet of every trial), summary.csv
-(median / inter-quartile range over trials per sweep value) and
-scene_<axis>_<value>.txt (the final image of trial 0, scene file format).
-Wall-time columns are omitted unless record_timing is set, keeping repeated
-runs byte-identical.
+(median / inter-quartile range over trials per sweep value),
+scene_<axis>_<value>.txt (the final image of trial 0, scene file format)
+and, only when a sweep point failed, failures.csv (one row per failed point:
+axis, value, trial, error type and message). Wall-time columns are omitted
+unless record_timing is set, keeping repeated runs byte-identical.
 """
 
 import configparser
@@ -47,6 +49,7 @@ __all__ = [
 
 TRACE_SCHEMA = "jcas-trace-v1"
 SUMMARY_SCHEMA = "jcas-summary-v1"
+FAILURES_SCHEMA = "jcas-failures-v1"
 
 _SWEEP_AXES = ("ebn0_db", "n_users", "mu", "packets")
 
@@ -91,7 +94,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
         with open(path) as f:
             cp.read_file(f)
         kw = {}
@@ -257,8 +260,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
 
     A sweep point that fails on its inputs or numerics (ValueError,
     SweepError, GampDivergence, LinAlgError) is reported (via log, default
-    print) and skipped; the remaining points still run. Any other exception
-    is a bug and propagates. Returns the list of output paths.
+    print), written to failures.csv and skipped; the remaining points still
+    run. Any other exception is a bug and propagates. Returns the list of
+    output paths.
     """
     log = log or print
     out = output_dir or os.environ.get("JCAS_OUTPUT_DIR") or cfg.output
@@ -276,7 +280,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
                 run = JointRunner(truth, links, cb, prior, jc).run()
             except (ValueError, SweepError, GampDivergence, np.linalg.LinAlgError) as exc:
                 # report and keep sweeping (CodebookError is a ValueError)
-                failures.append((value, trial, exc))
+                failures.append(
+                    {"axis": cfg.sweep, "value": value, "trial": trial,
+                     "error": type(exc).__name__, "message": str(exc)}
+                )
                 log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {exc}")
                 continue
             for p in run.packets:
@@ -326,10 +333,14 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
         "axis", "value", "trials", "mse_median", "mse_iqr",
         "ser_median", "ser_iqr", "ser_post_median",
     ]
-    for name, schema, cols, rows in (
+    tables = [
         ("trace.csv", TRACE_SCHEMA, tcols, trace_rows),
         ("summary.csv", SUMMARY_SCHEMA, scols, summary_rows),
-    ):
+    ]
+    if failures:
+        fcols = ["axis", "value", "trial", "error", "message"]
+        tables.append(("failures.csv", FAILURES_SCHEMA, fcols, failures))
+    for name, schema, cols, rows in tables:
         path = os.path.join(out, name)
         with open(path, "w", newline="") as f:
             f.write(f"# {schema}\n")
@@ -339,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
                 w.writerow([_fmt(row.get(c)) for c in cols])
         paths.append(path)
     if failures and not summary_rows:
-        raise SweepError(f"all sweep points failed; first error: {failures[0][2]}")
+        raise SweepError(f"all sweep points failed; first error: {failures[0]['message']}")
     return paths
 
 

@@ -55,8 +55,9 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
 
     For ORE r, solves min ||y_r - S_r h||^2 over the d_f users sharing r,
     with a small ridge (ridge_rel * trace(S^H S)/d_f) for ill-conditioned
-    symbol matrices. OREs whose symbol matrix stays rank-deficient beyond
-    the ridge are flagged unobserved. Needs N_T >= d_f slots per ORE.
+    symbol matrices. OREs whose symbol matrix is rank-deficient (S^H S
+    conditioned worse than 1e10; the ridge would hide this) are flagged
+    unobserved. Needs N_T >= d_f slots per ORE.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 3 or y.shape[1] != cb.n_ores:
@@ -76,10 +77,10 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
             )
         s = e[:, r, users]  # (N_T, L)
         gram = s.conj().T @ s
+        if np.linalg.cond(gram) > _COND_LIMIT:
+            continue  # flagged: left unobserved, excluded from stacking
         tau = ridge_rel * np.real(np.trace(gram)) / len(users)
         reg = gram + tau * np.eye(len(users))
-        if np.linalg.cond(reg) > _COND_LIMIT:
-            continue  # flagged: left unobserved, excluded from stacking
         reg_inv = np.linalg.inv(reg)
         h_sub = reg_inv @ (s.conj().T @ y[:, r, :])  # (L, N_R)
         h[r, users, :] = h_sub
@@ -201,7 +202,8 @@ def sense(
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)
     q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w, prior.renormalized)
     # stop at the estimation-noise floor: the residual cannot fall below the
-    # noise energy in the stacked rows, so a tighter target just spins
+    # noise energy in the stacked rows; where model error from wrong decodes
+    # keeps it above even that, gamp_solve's x-change rule ends the run
     eps_t = max(1e-12 * float(np.sum(yv**2)), sigma_w * len(yv))
     result = gamp_solve(phi, yv, q, eps_t=eps_t, damping=damping, max_iter=max_iter)
     x_hat = result.x

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcas.gamp import (
     GampDivergence,
@@ -12,6 +13,8 @@ from jcas.gamp import (
     lift_complex,
 )
 from oracles import g_in_grid_search, map_support_enumeration
+
+_props = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 def test_prior_params_validation():
@@ -161,9 +164,77 @@ def test_gamp_stops_at_eps_t():
     q = PriorParams(lam=0.1, theta=0.5, sigma_x=0.1)
     loose = gamp_solve(phi, y, q, eps_t=1e-2)
     assert loose.converged
+    assert loose.stop == "residual"
     assert loose.residual <= 1e-2
     tight = gamp_solve(phi, y, q, eps_t=1e-6)
     assert loose.iterations <= tight.iterations
+
+
+def _noisy_system(seed):
+    """Noisy measurements: the residual cannot fall far below the noise energy."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((40, 20)) / np.sqrt(40)
+    x_true = np.zeros(20)
+    x_true[[3, 11, 17]] = [0.7, 0.4, 0.9]
+    noise = 0.1 * rng.standard_normal(40)
+    q = PriorParams(lam=0.15, theta=0.5, sigma_x=0.1, sigma_w=0.01)
+    return phi, phi @ x_true + noise, q, 1e-3 * float(np.sum(noise**2))
+
+
+def test_gamp_stops_when_image_stops_moving():
+    """Below the noise floor only the x-change rule can stop the run early,
+    and it stops close to where running on to the cap would end."""
+    for seed in range(3):
+        phi, y, q, eps_t = _noisy_system(seed)
+        res = gamp_solve(phi, y, q, eps_t=eps_t)
+        assert res.stop == "x_change" and res.converged
+        assert 1 < res.iterations < 200
+        assert res.residual > eps_t
+        capped = gamp_solve(phi, y, q, eps_t=eps_t, x_tol=0.0)
+        assert capped.stop == "max_iter" and not capped.converged
+        assert capped.iterations == 200
+        rel = np.linalg.norm(res.x - capped.x) / np.linalg.norm(capped.x)
+        assert rel <= 10 * 1e-4
+
+
+def test_gamp_stop_rule_at_one_iteration():
+    phi, y, q, eps_t = _noisy_system(0)
+    one = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)
+    assert one.stop == "max_iter" and not one.converged and one.iterations == 1
+    # a rule that fires first wins: the residual before any update, or the
+    # x change after the first one
+    at_start = gamp_solve(phi, y, q, eps_t=1e6, max_iter=1)
+    assert at_start.stop == "residual" and at_start.iterations == 0
+    moved = gamp_solve(phi, y, q, eps_t=eps_t, x_tol=1e6, max_iter=1)
+    assert moved.stop == "x_change" and moved.iterations == 1
+    assert np.array_equal(moved.x, one.x)
+    # the change is relative to the new image: from x0 = 1 toward y = 0 the
+    # first update moves about 0.55 of ||x0|| but 0.98 of ||x1||
+    zero, x0 = np.zeros(40), np.ones(20)
+    assert gamp_solve(phi, zero, q, x0=x0, x_tol=0.75, max_iter=1).stop == "max_iter"
+    assert gamp_solve(phi, zero, q, x0=x0, x_tol=1.0, max_iter=1).stop == "x_change"
+
+
+@_props
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    lam=st.floats(0.01, 0.9),
+    theta=st.floats(0.0, 1.0),
+    sigma_x=st.floats(1e-3, 1.0),
+    sigma_w=st.floats(0.0, 1.0),
+    scale=st.floats(0.0, 10.0),
+)
+def test_gamp_plain_output_in_unit_box(seed, shape, lam, theta, sigma_x, sigma_w, scale):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(shape)
+    y = scale * rng.standard_normal(shape[0])
+    q = PriorParams(lam=lam, theta=theta, sigma_x=sigma_x, sigma_w=sigma_w)
+    try:
+        x = gamp_solve(phi, y, q, max_iter=50).x
+    except GampDivergence as exc:
+        x = exc.x
+    assert np.all((x >= 0.0) & (x <= 1.0))
 
 
 def test_gamp_input_validation():

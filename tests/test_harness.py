@@ -1,10 +1,13 @@
+import csv
 import filecmp
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jcas.harness
 from jcas.cli import main
@@ -69,6 +72,108 @@ def test_config_validation(tmp_path):
         ExperimentConfig.from_file(ini)
 
 
+def _write_ini(cfg: ExperimentConfig, path):
+    """Write every field of cfg in the format ExperimentConfig.from_file reads."""
+
+    def fmt(v):
+        if isinstance(v, tuple):
+            return " ".join(fmt(e) for e in v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    exp = ("sweep", "values", "trials", "seed", "output", "record_timing")
+    scen = (
+        "scene", "geometry", "codebook", "n_users", "n_ores", "d_v", "m",
+        "n_antennas", "sparsity", "room", "voxel",
+    )
+    lines = []
+    for section, obj, keys in (
+        ("experiment", cfg, exp),
+        ("scenario", cfg, scen),
+        ("joint", cfg.joint, [f.name for f in fields(JointConfig)]),
+    ):
+        lines.append(f"[{section}]")
+        for key in keys:
+            if getattr(obj, key) is not None:
+                lines.append(f"{key} = {fmt(getattr(obj, key))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+# ";" after whitespace starts an inline comment, so no value can start with it
+_paths = st.text("abcXYZ019_-./%$;", min_size=1, max_size=12).filter(
+    lambda p: not p.startswith(";")
+)
+_counts = st.integers(1, 64)
+
+
+@st.composite
+def _joint_configs(draw):
+    n_packets = draw(st.integers(1, 40))
+    return JointConfig(
+        n_packets=n_packets,
+        n_slots=draw(_counts),
+        n_pilot=draw(st.integers(0, n_packets)),
+        n_f=draw(_counts),
+        n_b=draw(st.integers(0, n_packets)),
+        k_s=draw(_counts),
+        k_it=draw(_counts),
+        mu=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps_k=draw(st.none() | st.floats(0.0, 10.0)),
+        ebn0_db=draw(st.floats(-30.0, 60.0)),
+        decoder=draw(st.sampled_from(["mpa", "ml", "genie"])),
+        ore_mode=draw(st.sampled_from(["user_first", "all_ores"])),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@st.composite
+def _experiment_configs(draw):
+    # from_file reads integral values as int, so floats are drawn non-integral
+    value = st.integers(-100, 1000) | st.floats(-100.0, 100.0).filter(
+        lambda v: not v.is_integer()
+    )
+    lengths = st.tuples(*[st.floats(0.01, 50.0)] * 3)
+    return ExperimentConfig(
+        sweep=draw(st.sampled_from(["ebn0_db", "n_users", "mu", "packets"])),
+        values=tuple(draw(st.lists(value, min_size=1, max_size=5))),
+        trials=draw(st.integers(1, 100)),
+        seed=draw(st.integers(-(2**31), 2**31)),
+        output=draw(_paths),
+        record_timing=draw(st.booleans()),
+        scene=draw(st.none() | _paths),
+        geometry=draw(st.none() | _paths),
+        codebook=draw(st.none() | _paths),
+        n_users=draw(_counts),
+        n_ores=draw(_counts),
+        d_v=draw(_counts),
+        m=draw(_counts),
+        n_antennas=draw(_counts),
+        sparsity=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        room=draw(lengths),
+        voxel=draw(lengths),
+        joint=draw(_joint_configs()),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(cfg=_experiment_configs())
+def test_config_file_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("ini") / "exp.ini"
+    _write_ini(cfg, path)
+    back = ExperimentConfig.from_file(path)
+    assert back == cfg
+    assert [type(v) for v in back.values] == [type(v) for v in cfg.values]
+
+
+def test_config_inline_comments(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nsweep = ebn0_db   ; one of: ebn0_db, n_users, mu, packets\n"
+        "values = 0 5 10\n[joint]\nn_f = 10   ; imaging window (packets)\n"
+    )
+    cfg = ExperimentConfig.from_file(ini)
+    assert cfg.sweep == "ebn0_db" and cfg.values == (0, 5, 10) and cfg.joint.n_f == 10
+
+
 def test_child_seed_is_stable_and_distinct():
     assert child_seed(1, 10, 0) == child_seed(1, 10, 0)
     assert child_seed(1, 10, 0) != child_seed(1, 10, 1)
@@ -108,6 +213,9 @@ def test_run_experiment_outputs_and_determinism(small_cfg, tmp_path):
         assert f.readline().startswith("# jcas-trace-v1")
         header = f.readline().strip().split(",")
     assert "wall_ms" not in header
+    # failures.csv is written only when a sweep point failed
+    assert not (tmp_path / "a" / "failures.csv").exists()
+    assert len(out_a) == 4
 
 
 def test_output_dir_env_override(small_cfg, tmp_path, monkeypatch):
@@ -159,11 +267,21 @@ def test_failed_sweep_point_reported_not_fatal(tmp_path):
         joint=JointConfig(n_packets=2, n_slots=64, n_f=2),
     )
     messages = []
-    run_experiment(cfg, log=messages.append)
+    paths = run_experiment(cfg, log=messages.append)
     assert any("failed" in m for m in messages)
     with open(tmp_path / "out" / "summary.csv") as f:
         body = f.read()
     assert "n_users,6" in body and "n_users,300" not in body
+    failures = tmp_path / "out" / "failures.csv"
+    assert str(failures) in paths
+    with open(failures, newline="") as f:
+        assert f.readline() == "# jcas-failures-v1\n"
+        rows = list(csv.reader(f))
+    assert rows[0] == ["axis", "value", "trial", "error", "message"]
+    assert len(rows) == 2
+    axis, value, trial, error, message = rows[1]
+    assert (axis, value, trial, error) == ("n_users", "300", "0", "ValueError")
+    assert "max_d_f" in message and any(message in m for m in messages)
 
 
 def test_bug_in_sweep_point_propagates(small_cfg, tmp_path, monkeypatch):
@@ -199,12 +317,37 @@ def test_cli_validate(tmp_path):
     assert main(["validate", str(tmp_path / "missing.txt")]) == 2
 
 
+def _subprocess_env(**extra):
+    """Environment that imports this checkout's jcas in a child interpreter."""
+    src = os.path.dirname(os.path.dirname(jcas.harness.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    """A run's trace and summary do not depend on the BLAS thread count."""
+    code = (
+        "import sys; from jcas.harness import ExperimentConfig, run_experiment; "
+        "from jcas.joint import JointConfig; "
+        "cfg = ExperimentConfig(sweep='ebn0_db', values=(5,), trials=1, seed=2, "
+        "n_users=6, n_antennas=16, joint=JointConfig(n_packets=8, n_f=4, k_s=3, n_b=1)); "
+        "run_experiment(cfg, output_dir=sys.argv[1], log=lambda m: None)"
+    )
+    for threads in ("1", "2"):
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+    for name in ("trace.csv", "summary.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     """Importing the loop loads only scipy.special; stats, spatial and optimize
     are slow to import and the loop does not need them."""
-    src = os.path.dirname(os.path.dirname(jcas.harness.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _subprocess_env()
     code = (
         "import sys, jcas.harness, jcas.joint; "
         "print(' '.join(m for m in ('scipy.stats', 'scipy.spatial', 'scipy.optimize')"

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcas.mpa import ml_decode, mpa_decode, ser
 from jcas.scma import build_codebook, default_codebook
@@ -90,6 +91,29 @@ def test_mpa_posteriors_normalized():
     res = mpa_decode(rx.y, h, cb, sigma2)
     assert np.allclose(res.posteriors.sum(axis=2), 1.0)
     assert np.array_equal(res.indices, np.argmax(res.posteriors, axis=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(6, 4, 2), (3, 3, 2), (8, 4, 2), (2, 2, 1)]),
+    m=st.sampled_from([2, 4]),
+    n_ant=st.integers(1, 4),
+    n_slots=st.integers(1, 8),
+    ebn0_db=st.floats(-10.0, 30.0),
+    scale=st.floats(0.0, 10.0),
+    k_it=st.integers(1, 6),
+)
+def test_mpa_posteriors_sum_to_one(seed, shape, m, n_ant, n_slots, ebn0_db, scale, k_it):
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
+    h = _rand_channel(cb, n_ant, seed, scale)
+    sigma2 = noise_sigma(ebn0_db, cb)
+    rx = transmit(random_frame(n_slots, cb, 0, seed), h, cb, sigma2, seed=seed)
+    post = mpa_decode(rx.y, h, cb, sigma2, k_it=k_it).posteriors
+    assert post.shape == (n_slots, n_users, m)
+    assert np.all(post >= 0)
+    assert np.allclose(post.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
 def test_mpa_agrees_with_ml_at_high_snr():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcas.channel import PacketChannel, random_binary_pattern
 from jcas.gamp import PriorParams
@@ -11,7 +12,8 @@ from jcas.sensing import (
     estimate_channel,
     sense,
 )
-from jcas.transceiver import noise_sigma, random_frame, transmit
+from jcas.scma import build_codebook, factor_graph
+from jcas.transceiver import Frame, codeword_tensor, noise_sigma, random_frame, transmit
 
 
 def _packet(links, truth, cb, packet, sigma2, seed=5, n_slots=64):
@@ -33,6 +35,47 @@ def test_estimate_channel_noiseless_exact(links, truth, codebook):
             else:
                 assert np.allclose(est.h[r, u], 0.0)
     assert est.noise_var < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(6, 4, 2), (3, 3, 2), (8, 4, 2), (2, 2, 1)]),
+    m=st.sampled_from([2, 4]),
+    n_ant=st.integers(1, 4),
+    extra_slots=st.integers(0, 6),
+)
+def test_estimate_channel_noiseless_exact_on_observed_pairs(seed, shape, m, n_ant, extra_slots):
+    """Noiseless: observed pairs are exact up to the ridge's bias, which is at
+    most ridge_rel * cond(S^H S) relative; unobserved pairs are zero."""
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n_ores, n_users, n_ant)) + 1j * rng.standard_normal(
+        (n_ores, n_users, n_ant)
+    )
+    frame = random_frame(cb.max_d_f + extra_slots, cb, 0, seed)
+    est = estimate_channel(transmit(frame, h, cb, 0.0).y, frame.symbol_indices, cb)
+    assert np.all(est.h[~est.observed] == 0)
+    e = codeword_tensor(frame, cb)
+    for r, users in enumerate(factor_graph(cb).lambda_r):
+        users = list(users)
+        assert np.all(est.observed[r, users]) or not np.any(est.observed[r, users])
+        if est.observed[r, users[0]]:
+            s = e[:, r, users]
+            bound = 1e-6 * np.linalg.cond(s.conj().T @ s) * np.linalg.norm(h[r, users])
+            assert np.linalg.norm(est.h[r, users] - h[r, users]) <= bound + 1e-12
+
+
+def test_estimate_channel_flags_rank_deficient_symbols(links, truth, codebook):
+    """Every user repeating one symbol leaves S^H S rank one on each ORE; the
+    ridge must not pass that off as an observation."""
+    ch = PacketChannel(links, random_binary_pattern(400, 1, 5))
+    frame = Frame(np.zeros((codebook.max_d_f + 2, codebook.n_users), dtype=int))
+    rx = transmit(frame, ch.channel(truth.values), codebook, 0.0)
+    est = estimate_channel(rx.y, frame.symbol_indices, codebook)
+    assert not est.observed.any()
+    assert np.all(est.h == 0)
 
 
 def test_estimate_channel_noise_variance_tracks_sigma2(links, truth, codebook):
