@@ -268,7 +268,7 @@ class PacketChannel:
         self.g = np.ascontiguousarray((links.h_s2 @ w).transpose(0, 2, 1))
 
     def scatter(self, x):
-        """Scattered rows H^s of every ORE: (R, N_u, N_R), row nu = x^T diag(h_s3) g."""
+        """Scattered rows H^s of every ORE: (R, N_u, N_R), row nu = x^T diag(h_s3) g^T."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.links.n_voxels,):
             raise ValueError(f"x must have length {self.links.n_voxels}")

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
+# relative image change at which a run has settled: ||x_t - x_{t-1}|| <= _X_TOL ||x_t||
+_X_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -121,18 +123,11 @@ def g_out(y, p_hat, sigma_z, sigma_w):
 
 @dataclass
 class GampResult:
-    """Solver output. stop names the rule that ended the run: "residual",
-    "x_change" or "max_iter"; the first two count as converged."""
-
     x: np.ndarray = field(repr=False)
     sigma_x: np.ndarray = field(repr=False)
     iterations: int = 0
     residual: float = np.inf
-    stop: str = "max_iter"
-
-    @property
-    def converged(self) -> bool:
-        return self.stop != "max_iter"
+    converged: bool = False
 
 
 def map_objective(phi, y, x, q: PriorParams) -> float:
@@ -172,7 +167,7 @@ def _polish_support(phi, y, q: PriorParams, support):
     return x
 
 
-def _gamp_iterate(phi, y, q, x0, eps_t, x_tol, max_iter, damping) -> GampResult:
+def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
     n = phi.shape[1]
     phi2 = phi**2
     x_hat = np.full(n, q.theta * q.lam) if x0 is None else np.asarray(x0, float).copy()
@@ -189,7 +184,7 @@ def _gamp_iterate(phi, y, q, x0, eps_t, x_tol, max_iter, damping) -> GampResult:
         p_hat = z_hat - sig_z * s_hat
         residual = float(np.sum((y - z_hat) ** 2))
         if residual <= eps_t:
-            return GampResult(x_hat, sig_x, t, residual, "residual")
+            return GampResult(x_hat, sig_x, t, residual, True)
         if res0 is None:
             res0 = residual
         bad_streak = bad_streak + 1 if residual > 10 * res0 else 0
@@ -210,10 +205,10 @@ def _gamp_iterate(phi, y, q, x0, eps_t, x_tol, max_iter, damping) -> GampResult:
         x_old = x_hat
         x_hat = damping * x_new + (1 - damping) * x_hat
         sig_x = np.maximum(sig_v * gp_in, var_floor)
-        if np.linalg.norm(x_hat - x_old) <= x_tol * np.linalg.norm(x_hat):
-            return GampResult(x_hat, sig_x, t + 1, residual, "x_change")
+        if np.linalg.norm(x_hat - x_old) <= _X_TOL * np.linalg.norm(x_hat):
+            return GampResult(x_hat, sig_x, t + 1, residual, True)
 
-    return GampResult(x_hat, sig_x, max_iter, residual, "max_iter")
+    return GampResult(x_hat, sig_x, max_iter, residual, False)
 
 
 def gamp_solve(
@@ -221,7 +216,6 @@ def gamp_solve(
     y,
     q: PriorParams,
     eps_t=None,
-    x_tol=1e-4,
     max_iter=200,
     damping=0.7,
     x0=None,
@@ -232,23 +226,22 @@ def gamp_solve(
 
     Follows the standard update schedule (linear step, output step, input
     step) with damping on the s and x iterates; damping=1 disables it. Two
-    rules stop the run early: the squared residual sum(|y - z|^2) drops
-    below eps_t (default: 1e-12 times the measurement energy; checked before
-    an update, stop "residual"), or an update moves the image by at most
-    x_tol relative, ||x_t - x_{t-1}|| <= x_tol * ||x_t|| (checked after the
-    damped x update, stop "x_change"). Otherwise it stops after max_iter
-    updates (stop "max_iter", not converged). iterations counts the updates
-    done. The residual also holds model error (e.g. from wrong decodes), so
-    it may never reach eps_t; the x-change rule ends such runs. Raises
-    GampDivergence when the residual exceeds 10x its initial value for 5
-    consecutive iterations.
+    rules stop the run early, and either counts as converged: the squared
+    residual sum(|y - z|^2) drops below eps_t (default: 1e-12 times the
+    measurement energy; checked before an update), or an update moves the
+    image by at most 1e-4 relative, ||x_t - x_{t-1}|| <= 1e-4 * ||x_t||
+    (checked after the damped x update). Otherwise it stops, not converged,
+    after max_iter updates. iterations counts the updates done. The residual
+    also holds model error (e.g. from wrong decodes), so it may never reach
+    eps_t; the x-change rule ends such runs. Raises GampDivergence when the
+    residual exceeds 10x its initial value for 5 consecutive iterations.
 
     restarts > 0 switches to a robust mode for hard (e.g. underdetermined)
     systems: the plain run plus `restarts` randomly re-initialized runs each
     propose candidate supports, every candidate is polished by a
     box-constrained ridge fit, and the candidate with the best MAP objective
     wins. Matched-filter support pairs are added to the candidate pool.
-    Its stop is "residual" when the winner meets eps_t, else "max_iter".
+    It counts as converged when the winner meets eps_t.
     The plain mode (restarts=0) never polishes.
     """
     phi = np.asarray(phi, dtype=float)
@@ -260,7 +253,7 @@ def gamp_solve(
     if eps_t is None:
         eps_t = 1e-12 * float(np.sum(y**2)) + 1e-30
     if restarts == 0:
-        return _gamp_iterate(phi, y, q, x0, eps_t, x_tol, max_iter, damping)
+        return _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping)
 
     n = phi.shape[1]
     rng = np.random.default_rng(seed)
@@ -271,7 +264,7 @@ def gamp_solve(
     last = None
     for start in inits:
         try:
-            res = _gamp_iterate(phi, y, q, start, eps_t, x_tol, max_iter, damping)
+            res = _gamp_iterate(phi, y, q, start, eps_t, max_iter, damping)
         except GampDivergence:
             continue
         last = res
@@ -292,8 +285,7 @@ def gamp_solve(
     residual = float(np.sum((y - phi @ best_x) ** 2))
     sig_x = last.sigma_x if last is not None else np.full(n, q.sigma_x)
     iters = last.iterations if last is not None else 0
-    stop = "residual" if residual <= eps_t else "max_iter"
-    return GampResult(best_x, sig_x, iters, residual, stop)
+    return GampResult(best_x, sig_x, iters, residual, residual <= eps_t)
 
 
 def lift_complex(a_tilde, h_tilde):

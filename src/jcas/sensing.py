@@ -34,7 +34,9 @@ __all__ = [
     "sense",
 ]
 
-_COND_LIMIT = 1e10
+# the ridge biases an estimate by up to ridge_rel * cond(S^H S) relative;
+# an ORE whose bias bound exceeds this is flagged unobserved
+_RIDGE_BIAS_LIMIT = 1e-2
 
 
 @dataclass
@@ -55,9 +57,10 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
 
     For ORE r, solves min ||y_r - S_r h||^2 over the d_f users sharing r,
     with a small ridge (ridge_rel * trace(S^H S)/d_f) for ill-conditioned
-    symbol matrices. OREs whose symbol matrix is rank-deficient (S^H S
-    conditioned worse than 1e10; the ridge would hide this) are flagged
-    unobserved. Needs N_T >= d_f slots per ORE.
+    symbol matrices. The ridge biases the estimate by up to
+    ridge_rel * cond(S^H S) relative; OREs where that bound exceeds 1e-2
+    (rank-deficient or nearly so) are flagged unobserved. Needs N_T >= d_f
+    slots per ORE.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 3 or y.shape[1] != cb.n_ores:
@@ -77,7 +80,7 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
             )
         s = e[:, r, users]  # (N_T, L)
         gram = s.conj().T @ s
-        if np.linalg.cond(gram) > _COND_LIMIT:
+        if ridge_rel * np.linalg.cond(gram) > _RIDGE_BIAS_LIMIT:
             continue  # flagged: left unobserved, excluded from stacking
         tau = ridge_rel * np.real(np.trace(gram)) / len(users)
         reg = gram + tau * np.eye(len(users))

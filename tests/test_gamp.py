@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jcas.gamp as gamp_module
 from jcas.gamp import (
     GampDivergence,
     PriorParams,
@@ -164,7 +165,6 @@ def test_gamp_stops_at_eps_t():
     q = PriorParams(lam=0.1, theta=0.5, sigma_x=0.1)
     loose = gamp_solve(phi, y, q, eps_t=1e-2)
     assert loose.converged
-    assert loose.stop == "residual"
     assert loose.residual <= 1e-2
     tight = gamp_solve(phi, y, q, eps_t=1e-6)
     assert loose.iterations <= tight.iterations
@@ -181,38 +181,46 @@ def _noisy_system(seed):
     return phi, phi @ x_true + noise, q, 1e-3 * float(np.sum(noise**2))
 
 
-def test_gamp_stops_when_image_stops_moving():
+# Which rule stopped a run: the residual rule returns a residual <= eps_t;
+# the x-change rule returns converged with the residual of its last update,
+# which was above eps_t; the cap returns not converged.
+
+
+def test_gamp_stops_when_image_stops_moving(monkeypatch):
     """Below the noise floor only the x-change rule can stop the run early,
     and it stops close to where running on to the cap would end."""
     for seed in range(3):
         phi, y, q, eps_t = _noisy_system(seed)
         res = gamp_solve(phi, y, q, eps_t=eps_t)
-        assert res.stop == "x_change" and res.converged
+        assert res.converged and res.residual > eps_t
         assert 1 < res.iterations < 200
-        assert res.residual > eps_t
-        capped = gamp_solve(phi, y, q, eps_t=eps_t, x_tol=0.0)
-        assert capped.stop == "max_iter" and not capped.converged
-        assert capped.iterations == 200
+        with monkeypatch.context() as m:
+            m.setattr(gamp_module, "_X_TOL", 0.0)
+            capped = gamp_solve(phi, y, q, eps_t=eps_t)
+        assert not capped.converged and capped.iterations == 200
         rel = np.linalg.norm(res.x - capped.x) / np.linalg.norm(capped.x)
-        assert rel <= 10 * 1e-4
+        assert rel <= 10 * gamp_module._X_TOL
 
 
-def test_gamp_stop_rule_at_one_iteration():
+def test_gamp_stop_rule_at_one_iteration(monkeypatch):
     phi, y, q, eps_t = _noisy_system(0)
     one = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)
-    assert one.stop == "max_iter" and not one.converged and one.iterations == 1
+    assert not one.converged and one.iterations == 1
     # a rule that fires first wins: the residual before any update, or the
     # x change after the first one
     at_start = gamp_solve(phi, y, q, eps_t=1e6, max_iter=1)
-    assert at_start.stop == "residual" and at_start.iterations == 0
-    moved = gamp_solve(phi, y, q, eps_t=eps_t, x_tol=1e6, max_iter=1)
-    assert moved.stop == "x_change" and moved.iterations == 1
+    assert at_start.converged and at_start.iterations == 0
+    monkeypatch.setattr(gamp_module, "_X_TOL", 1e6)
+    moved = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)
+    assert moved.converged and moved.residual > eps_t and moved.iterations == 1
     assert np.array_equal(moved.x, one.x)
     # the change is relative to the new image: from x0 = 1 toward y = 0 the
     # first update moves about 0.55 of ||x0|| but 0.98 of ||x1||
     zero, x0 = np.zeros(40), np.ones(20)
-    assert gamp_solve(phi, zero, q, x0=x0, x_tol=0.75, max_iter=1).stop == "max_iter"
-    assert gamp_solve(phi, zero, q, x0=x0, x_tol=1.0, max_iter=1).stop == "x_change"
+    monkeypatch.setattr(gamp_module, "_X_TOL", 0.75)
+    assert not gamp_solve(phi, zero, q, x0=x0, max_iter=1).converged
+    monkeypatch.setattr(gamp_module, "_X_TOL", 1.0)
+    assert gamp_solve(phi, zero, q, x0=x0, max_iter=1).converged
 
 
 @_props

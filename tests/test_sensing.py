@@ -12,7 +12,7 @@ from jcas.sensing import (
     estimate_channel,
     sense,
 )
-from jcas.scma import build_codebook, factor_graph
+from jcas.scma import Codebook, build_codebook, factor_graph
 from jcas.transceiver import Frame, codeword_tensor, noise_sigma, random_frame, transmit
 
 
@@ -47,7 +47,8 @@ def test_estimate_channel_noiseless_exact(links, truth, codebook):
 )
 def test_estimate_channel_noiseless_exact_on_observed_pairs(seed, shape, m, n_ant, extra_slots):
     """Noiseless: observed pairs are exact up to the ridge's bias, which is at
-    most ridge_rel * cond(S^H S) relative; unobserved pairs are zero."""
+    most ridge_rel * cond(S^H S) relative, and never more than 1e-2 relative,
+    since a worse-conditioned ORE is flagged; unobserved pairs are zero."""
     n_users, n_ores, d_v = shape
     cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
     rng = np.random.default_rng(seed)
@@ -63,8 +64,9 @@ def test_estimate_channel_noiseless_exact_on_observed_pairs(seed, shape, m, n_an
         assert np.all(est.observed[r, users]) or not np.any(est.observed[r, users])
         if est.observed[r, users[0]]:
             s = e[:, r, users]
-            bound = 1e-6 * np.linalg.cond(s.conj().T @ s) * np.linalg.norm(h[r, users])
-            assert np.linalg.norm(est.h[r, users] - h[r, users]) <= bound + 1e-12
+            rel = min(1e-6 * np.linalg.cond(s.conj().T @ s), 1e-2)
+            bound = (rel + 1e-12) * np.linalg.norm(h[r, users])
+            assert np.linalg.norm(est.h[r, users] - h[r, users]) <= bound
 
 
 def test_estimate_channel_flags_rank_deficient_symbols(links, truth, codebook):
@@ -76,6 +78,22 @@ def test_estimate_channel_flags_rank_deficient_symbols(links, truth, codebook):
     est = estimate_channel(rx.y, frame.symbol_indices, codebook)
     assert not est.observed.any()
     assert np.all(est.h == 0)
+
+
+@pytest.mark.parametrize("delta, observed", [(1e-1, True), (1e-3, False)])
+def test_estimate_channel_flags_ill_conditioned_symbols(delta, observed):
+    """Two users whose codewords differ by delta: cond(S^H S) is about
+    1.8e3 at 1e-1 (ridge bias under 1e-2, observed) and 1.6e7 at 1e-3,
+    where the ridge would bias the estimate past 100%, so it is flagged."""
+    cb = Codebook([np.array([[1, 1]]), np.array([[1, 1 + delta]])])
+    sym = np.array([[0, 0], [1, 1]])
+    h = np.array([[[1 + 1j], [0.5 - 2j]]])
+    est = estimate_channel(transmit(Frame(sym), h, cb, 0.0).y, sym, cb)
+    assert np.all(est.observed == observed)
+    if observed:
+        assert np.linalg.norm(est.h - h) <= 1e-2 * np.linalg.norm(h)
+    else:
+        assert np.all(est.h == 0)
 
 
 def test_estimate_channel_noise_variance_tracks_sigma2(links, truth, codebook):
