@@ -13,13 +13,21 @@ scene_<axis>_<value>.txt (the final image of trial 0, scene file format)
 and, only when a sweep point failed, failures.csv (one row per failed point:
 axis, value, trial, error type and message). Wall-time columns are omitted
 unless record_timing is set, keeping repeated runs byte-identical.
+
+The (value, trial) points run in a process pool with one worker per CPU the
+process may use (limit them with taskset). Every output is written by the
+calling process in (value, trial) order, so no output depends on the number
+of workers.
 """
 
 import configparser
 import csv
+import ctypes
 import io
+import itertools
 import os
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from .channel import (
     random_binary_pattern,
 )
 from .gamp import GampDivergence, PriorParams
-from .joint import JointConfig, JointRunner
+from .joint import JointConfig, JointRunner, RunTrace
 from .scene import RoomSpec, ScattererField, load_scene, random_scene, save_scene
 from .scma import Codebook, build_codebook, load_codebook
 
@@ -43,6 +51,8 @@ __all__ = [
     "child_seed",
     "default_geometry",
     "build_system",
+    "PointResult",
+    "run_points",
     "run_experiment",
     "compare_traces",
 ]
@@ -255,14 +265,113 @@ def _fmt(v):
     return str(v)
 
 
+class PointResult(NamedTuple):
+    """One sweep point's run and scene spec, or the error that failed it."""
+
+    run: RunTrace | None
+    spec: RoomSpec | None
+    error: tuple | None  # (exception type name, message) of a failed point
+
+
+# A point that fails on its inputs or numerics; anything else is a bug.
+_POINT_ERRORS = (ValueError, SweepError, GampDivergence, np.linalg.LinAlgError)
+
+
+def _run_point(cfg: ExperimentConfig, value, trial: int) -> PointResult:
+    """Build and run one (value, trial) point.
+
+    The point's own failures are caught here, inside the worker, because
+    GampDivergence cannot be unpickled in the parent; they come back as
+    (type name, message). CodebookError is a ValueError.
+    """
+    try:
+        truth, links, cb, prior, jc = build_system(cfg, value, trial)
+        run = JointRunner(truth, links, cb, prior, jc).run()
+    except _POINT_ERRORS as exc:
+        return PointResult(None, None, (type(exc).__name__, str(exc)))
+    return PointResult(run, truth.spec, None)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# OpenBLAS's thread-count setter under its plain, 64-bit-integer and
+# scipy-openblas (numpy's wheels) symbol names
+_BLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread():
+    """Pool-worker initializer: one OpenBLAS thread in this worker.
+
+    A forked worker keeps the caller's BLAS thread count; with a worker on
+    every usable CPU, more BLAS threads only contend for the same cores.
+    Results do not depend on the count. Looks for OpenBLAS among the
+    libraries this process has mapped; does nothing where there is none.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {ln.split()[-1] for ln in f if "openblas" in ln}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def run_points(cfg: ExperimentConfig, points) -> list:
+    """Run (value, trial) points of cfg; PointResults in the order of points.
+
+    Uses one worker process per usable CPU, at most one per point, and runs
+    in this process when that is one. Workers are forked: they import
+    nothing again and inherit the caller's state, and callers need no
+    __main__ guard. Each worker runs with one BLAS thread. Each point is a
+    pure function of its child seed, so the results do not depend on the
+    number of workers. A bug in a point propagates with its own type, after
+    the pool has shut down and its pending points are cancelled.
+    """
+    points = list(points)
+    workers = min(len(points), _usable_cpus())
+    if workers <= 1:
+        return [_run_point(cfg, value, trial) for value, trial in points]
+    # imported here: they add about 5% to the import time of jcas
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    values, trials = zip(*points)
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread,
+    )
+    try:
+        return list(pool.map(_run_point, itertools.repeat(cfg), values, trials))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     """Run the sweep and write trace.csv / summary.csv / scene snapshots.
 
-    A sweep point that fails on its inputs or numerics (ValueError,
-    SweepError, GampDivergence, LinAlgError) is reported (via log, default
-    print), written to failures.csv and skipped; the remaining points still
-    run. Any other exception is a bug and propagates. Returns the list of
-    output paths.
+    The (value, trial) points run on the usable CPUs (see run_points); the
+    outputs and log calls do not depend on how many there are. A sweep point
+    that fails on its inputs or numerics (ValueError, SweepError,
+    GampDivergence, LinAlgError) is reported (via log, default print),
+    written to failures.csv and skipped; the remaining points still run. Any
+    other exception is a bug and propagates. Returns the list of output
+    paths.
     """
     log = log or print
     out = output_dir or os.environ.get("JCAS_OUTPUT_DIR") or cfg.output
@@ -270,21 +379,22 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     tcols = _trace_columns(cfg.record_timing)
     trace_rows, summary_rows, paths = [], [], []
     failures = []
+    results = iter(
+        run_points(cfg, [(v, t) for v in cfg.values for t in range(cfg.trials)])
+    )
 
     for value in cfg.values:
         finals_mse, finals_ser, finals_post = [], [], []
         first_x, first_spec = None, None
         for trial in range(cfg.trials):
-            try:
-                truth, links, cb, prior, jc = build_system(cfg, value, trial)
-                run = JointRunner(truth, links, cb, prior, jc).run()
-            except (ValueError, SweepError, GampDivergence, np.linalg.LinAlgError) as exc:
-                # report and keep sweeping (CodebookError is a ValueError)
+            run, spec, error = next(results)
+            if error is not None:
+                # report and keep sweeping
                 failures.append(
                     {"axis": cfg.sweep, "value": value, "trial": trial,
-                     "error": type(exc).__name__, "message": str(exc)}
+                     "error": error[0], "message": error[1]}
                 )
-                log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {exc}")
+                log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {error[1]}")
                 continue
             for p in run.packets:
                 row = {
@@ -306,7 +416,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             if post:
                 finals_post.append(float(np.mean(post)))
             if first_x is None:
-                first_x, first_spec = run.x_final, truth.spec
+                first_x, first_spec = run.x_final, spec
         if not finals_mse:
             continue
 

@@ -17,7 +17,8 @@ MPA schedule per round: for each FN, a prefix chain sums out the users from
 the front and a suffix chain from the back, one table pass each; user i's
 FN->VN message comes from the smaller of prefix[i] and suffix[i+1], with the
 users still left in it summed out. Then every VN sends each of its FNs the
-normalized product of its other FNs' messages. Messages start uniform.
+normalized product of its other FNs' messages, except in the last round,
+whose VN->FN messages nothing reads. Messages start uniform.
 
 sigma2 is the total complex noise variance (see transceiver) and must be
 finite and >= 0. A sigma2 of zero is guarded by an absolute floor of 1e-300;
@@ -209,21 +210,24 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
     uniform = np.full((m, b), 1.0 / m)
     mu_vf = {(u, r): uniform for u in range(cb.n_users) for r in graph.omega_u[u]}
     mu_fv = {}
-    for _ in range(k_it):
+    for it in range(k_it):
         # FN -> VN: marginalize the likelihood grid over the other users,
         # weighting by their incoming messages (prefix/suffix contractions)
         for r, users in enumerate(graph.lambda_r):
             ext = _extrinsics(lik[r], [mu_vf[(u, r)] for u in users])
             for u, e in zip(users, ext):
                 mu_fv[(r, u)] = _normalized(e)
-        # VN -> FN: extrinsic product over the user's other OREs, normalized
+        if it + 1 == k_it:
+            break  # the final beliefs read only the FN -> VN messages
+        # VN -> FN: extrinsic product over the user's other OREs, normalized;
+        # the product starts from the first other message (1.0 * x == x)
         for u in range(cb.n_users):
             ores = graph.omega_u[u]
             for r in ores:
-                prod = np.ones((m, b))
-                for j in ores:
-                    if j != r:
-                        prod = prod * mu_fv[(j, u)]
+                others = [mu_fv[(j, u)] for j in ores if j != r]
+                prod = others[0] if others else np.ones((m, b))
+                for msg in others[1:]:
+                    prod = prod * msg
                 mu_vf[(u, r)] = _normalized(prod)
     del lik, mu_vf
 

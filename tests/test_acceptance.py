@@ -20,7 +20,7 @@ from jcas.channel import (
     scatter_rows,
 )
 from jcas.gamp import PriorParams, g_in, gamp_solve
-from jcas.harness import ExperimentConfig, build_system, default_geometry
+from jcas.harness import ExperimentConfig, build_system, default_geometry, run_points
 from jcas.joint import JointConfig, JointRunner
 from jcas.metrics import BoundParams, cs_bound, mse, operating_point, ser_union_bound
 from jcas.mpa import ml_decode, mpa_decode, ser
@@ -43,6 +43,14 @@ def _run_point(cfg, value, trial):
     return JointRunner(truth, links, cb, prior, jc).run()
 
 
+def _runs(cfg, value):
+    """The runs of every trial of one sweep value, on the sweep's process pool."""
+    results = run_points(cfg, [(value, trial) for trial in range(cfg.trials)])
+    failed = [r.error for r in results if r.error is not None]
+    assert not failed, f"sweep points failed: {failed}"
+    return [r.run for r in results]
+
+
 # -- 1: closed-loop convergence with feedback ------------------------------
 
 def test_criterion_1_convergence():
@@ -56,8 +64,7 @@ def test_criterion_1_convergence():
     )
     t0 = time.perf_counter()
     mses, sers, posts = [], [], []
-    for trial in range(cfg.trials):
-        run = _run_point(cfg, 30, trial)
+    for run in _runs(cfg, 30):
         mses.append([p.mse for p in run.packets])
         sers.append([p.ser for p in run.packets])
         # a skipped feedback (image settled) leaves the decode unchanged
@@ -97,7 +104,7 @@ def test_criterion_2_snr_ordering():
     )
     med = {}
     for db in cfg.values:
-        finals = [_run_point(cfg, db, t).packets[-1].mse for t in range(cfg.trials)]
+        finals = [run.packets[-1].mse for run in _runs(cfg, db)]
         med[db] = float(np.median(finals))
     r05 = med[0] / med[5]
     r510 = med[5] / med[10]
@@ -128,8 +135,7 @@ def test_criterion_3_user_count_tradeoff():
     for nu in range(4, 21):
         cfg = _tradeoff_cfg(nu)
         fm, sm = [], []
-        for trial in range(cfg.trials):
-            run = _run_point(cfg, nu, trial)
+        for run in _runs(cfg, nu):
             fm.append(run.packets[-1].mse)
             sm.append(float(np.mean([p.ser for p in run.packets if not p.pilot])))
         sweep.append((nu, float(np.median(fm)), float(np.median(sm))))
@@ -159,8 +165,7 @@ def test_criterion_4_momentum():
             trials=12,
         )
         mm, sm = [], []
-        for trial in range(cfg.trials):
-            run = _run_point(cfg, 20, trial)
+        for run in _runs(cfg, 20):
             late = run.packets[4:]  # steady state, past the gate transient
             mm.append(run.packets[-1].mse)
             sm.append(float(np.mean([p.ser for p in late])))

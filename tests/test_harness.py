@@ -1,5 +1,7 @@
 import csv
 import filecmp
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -291,10 +293,37 @@ def test_bug_in_sweep_point_propagates(small_cfg, tmp_path, monkeypatch):
         raise TypeError("bug in the loop")
 
     monkeypatch.setattr(jcas.harness, "JointRunner", broken)
+    monkeypatch.setattr(jcas.harness, "_usable_cpus", lambda: 2)  # through the pool
     messages = []
     with pytest.raises(TypeError, match="bug in the loop"):
         run_experiment(small_cfg, output_dir=str(tmp_path / "out"), log=messages.append)
     assert messages == []
+    assert multiprocessing.active_children() == []
+
+
+def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch):
+    """Every output file and the log order do not depend on the worker count,
+    and no worker outlives the run."""
+    cfg = ExperimentConfig(
+        sweep="n_users",
+        values=(6, 300, 4),  # 300 users fail: failures.csv is written
+        trials=2,
+        n_ores=4,
+        n_antennas=8,
+        joint=JointConfig(n_packets=3, n_slots=64, n_f=2, n_b=1),
+    )
+    logs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(jcas.harness, "_usable_cpus", lambda: workers)
+        logs[workers] = []
+        run_experiment(cfg, output_dir=str(tmp_path / str(workers)), log=logs[workers].append)
+        assert multiprocessing.active_children() == []
+    assert len(logs[1]) == 2 and logs[1] == logs[2]
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert "failures.csv" in names and "scene_n_users_4.txt" in names
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_cli_run_and_compare(tmp_path, capsys):
@@ -325,23 +354,52 @@ def _subprocess_env(**extra):
 
 
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
-    """A run's trace and summary do not depend on the BLAS thread count."""
+    """A run's trace and summary do not depend on the BLAS thread count, run
+    in process (one worker) or on two pool workers (which drop to one BLAS
+    thread each)."""
     code = (
-        "import sys; from jcas.harness import ExperimentConfig, run_experiment; "
+        "import sys, jcas.harness; from jcas.harness import ExperimentConfig, run_experiment; "
         "from jcas.joint import JointConfig; "
-        "cfg = ExperimentConfig(sweep='ebn0_db', values=(5,), trials=1, seed=2, "
+        "jcas.harness._usable_cpus = lambda: int(sys.argv[2]); "
+        "cfg = ExperimentConfig(sweep='ebn0_db', values=(5,), trials=2, seed=2, "
         "n_users=6, n_antennas=16, joint=JointConfig(n_packets=8, n_f=4, k_s=3, n_b=1)); "
         "run_experiment(cfg, output_dir=sys.argv[1], log=lambda m: None)"
     )
-    for threads in ("1", "2"):
+    runs = [(threads, workers) for threads in "12" for workers in "12"]
+    for threads, workers in runs:
         env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / threads)],
+            [sys.executable, "-c", code, str(tmp_path / (threads + workers)), workers],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert out.returncode == 0, out.stderr
     for name in ("trace.csv", "summary.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        first = (tmp_path / "11" / name).read_bytes()
+        for threads, workers in runs[1:]:
+            assert (tmp_path / (threads + workers) / name).read_bytes() == first
+
+
+def test_pool_worker_initializer_sets_one_blas_thread():
+    """_one_blas_thread drops OpenBLAS to one thread where OpenBLAS is loaded."""
+    code = (
+        "import ctypes, json; from jcas.harness import _one_blas_thread; "
+        "paths = {ln.split()[-1] for ln in open('/proc/self/maps') if 'openblas' in ln}; "
+        "libs = [ctypes.CDLL(path) for path in paths]; "
+        "get = [getattr(lib, n) for lib in libs for n in ('openblas_get_num_threads', "
+        "'openblas_get_num_threads64_', 'scipy_openblas_get_num_threads64_') "
+        "if hasattr(lib, n)]; "
+        "before = [g() for g in get]; _one_blas_thread(); "
+        "print(json.dumps([before, [g() for g in get]]))"
+    )
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    before, after = json.loads(out.stdout)
+    if not before:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert set(after) == {1}, (before, after)  # before: 2 threads on a multi-CPU machine
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
