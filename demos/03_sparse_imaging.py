@@ -14,7 +14,7 @@ from jcas.channel import OreGrid, PacketChannel, calibrate_links, los_links, ran
 from jcas.gamp import PriorParams
 from jcas.harness import default_geometry
 from jcas.scene import RoomSpec, random_scene
-from jcas.sensing import PacketRecord, SenseWindow, sense
+from jcas.sensing import PacketRecord, sense
 from jcas.transceiver import noise_sigma, random_frame, transmit
 
 spec = RoomSpec((4.0, 4.0, 4.0), (0.5, 0.5, 0.5))
@@ -39,10 +39,10 @@ def make_packet(k):
     return PacketRecord(k, rx.y, frame.symbol_indices, ch)
 
 print("window sweep (pilot symbols, 10 dB):")
-window = SenseWindow(n_f=10)
+records = []
 for k in range(1, 11):
-    window.push(make_packet(k))
-    x_hat, info = sense(window, cb, prior)
+    records.append(make_packet(k))
+    x_hat, info = sense(records, cb, prior)
     err = float(np.mean((x_hat - truth.values) ** 2))
     print(f"  {k:2d} packet(s): MSE {err:.3e}  ({info.iterations} solver iterations)")
 

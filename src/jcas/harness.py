@@ -62,6 +62,9 @@ SUMMARY_SCHEMA = "jcas-summary-v1"
 FAILURES_SCHEMA = "jcas-failures-v1"
 
 _SWEEP_AXES = ("ebn0_db", "n_users", "mu", "packets")
+# ExperimentConfig fields read from [experiment]; the others but joint are
+# [scenario] keys
+_EXPERIMENT_KEYS = ("sweep", "values", "trials", "seed", "output", "record_timing")
 
 
 class SweepError(RuntimeError):
@@ -104,53 +107,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """Read a config file; every key is read as its field's type, and an
+        unknown section or key raises ValueError naming the file."""
         cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
         with open(path) as f:
             cp.read_file(f)
-        kw = {}
-        exp = cp["experiment"] if cp.has_section("experiment") else {}
-        for key in ("sweep", "output"):
-            if key in exp:
-                kw[key] = exp[key]
-        if "values" in exp:
-            vals = [float(v) for v in exp["values"].split()]
-            kw["values"] = tuple(
-                int(v) if float(v).is_integer() else v for v in vals
-            )
-        for key in ("trials", "seed"):
-            if key in exp:
-                kw[key] = int(exp[key])
-        if "record_timing" in exp:
-            kw["record_timing"] = exp.getboolean("record_timing")
+        types = {f.name: f.type for f in fields(cls) if f.name != "joint"}
+        sections = {
+            "experiment": {k: types[k] for k in _EXPERIMENT_KEYS},
+            "scenario": {k: t for k, t in types.items() if k not in _EXPERIMENT_KEYS},
+            "joint": {f.name: f.type for f in fields(JointConfig)},
+        }
+        kw = {name: {} for name in sections}
+        for name in cp.sections():
+            if name not in sections:
+                raise ValueError(f"{path}: unknown section [{name}]")
+            for key in cp[name]:
+                if key not in sections[name]:
+                    raise ValueError(f"{path}: unknown [{name}] key {key!r}")
+                kw[name][key] = _parse_value(cp[name], key, sections[name][key])
+        return cls(
+            **kw["experiment"], **kw["scenario"], joint=JointConfig(**kw["joint"])
+        )
 
-        scen = cp["scenario"] if cp.has_section("scenario") else {}
-        for key in ("scene", "geometry", "codebook"):
-            if key in scen:
-                kw[key] = scen[key]
-        for key in ("n_users", "n_ores", "d_v", "m", "n_antennas"):
-            if key in scen:
-                kw[key] = int(scen[key])
-        if "sparsity" in scen:
-            kw["sparsity"] = float(scen["sparsity"])
-        for key in ("room", "voxel"):
-            if key in scen:
-                kw[key] = tuple(float(v) for v in scen[key].split())
 
-        jkw = {}
-        jnt = cp["joint"] if cp.has_section("joint") else {}
-        jfields = {f.name: f.type for f in fields(JointConfig)}
-        for key in jnt:
-            if key not in jfields:
-                raise ValueError(f"{path}: unknown [joint] key {key!r}")
-            raw = jnt[key]
-            if key in ("mu", "ebn0_db", "eps_k"):
-                jkw[key] = float(raw)
-            elif key in ("decoder", "ore_mode"):
-                jkw[key] = raw
-            else:
-                jkw[key] = int(raw)
-        kw["joint"] = JointConfig(**jkw)
-        return cls(**kw)
+def _parse_value(section, key, typ):
+    """One config file value, read as the type of its dataclass field."""
+    raw = section[key]
+    if typ is bool:
+        return section.getboolean(key)
+    if typ is int:
+        return int(raw)
+    if typ in (float, float | None):
+        return float(raw)
+    if typ is tuple:
+        vals = tuple(float(v) for v in raw.split())
+        if key == "values":  # integral sweep values (users, packets) as int
+            return tuple(int(v) if v.is_integer() else v for v in vals)
+        return vals
+    return raw  # str or str | None
 
 
 def child_seed(master: int, value, trial: int) -> int:

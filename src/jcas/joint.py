@@ -7,9 +7,14 @@ then re-image from the sliding window of decoded packets. Optional
 self-iteration repeats decode+image within a packet until the estimate
 stops moving; optional feedback re-decodes the previous n_b packets with
 the fresher image after every sensing step and refreshes the window.
+
+The runner's window is the only per-packet store: a bounded deque of
+(PacketRecord, sent symbol indices, PacketTrace row) entries for the last n_f
+packets.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +25,7 @@ from .metrics import mse
 from .mpa import ml_decode, mpa_decode, ser
 from .scma import Codebook
 from .scene import ScattererField
-from .sensing import PacketRecord, SenseWindow, sense
+from .sensing import PacketRecord, sense
 from .transceiver import noise_sigma, random_frame, transmit
 
 __all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner", "run_joint"]
@@ -113,13 +118,13 @@ class JointRunner:
             else 0.05 * np.sqrt(n_s * prior.lam)
         )
         self.sigma2 = noise_sigma(config.ebn0_db, cb)
-        self.window = SenseWindow(config.n_f)
+        # (record, sent symbol indices, trace row) of the last n_f packets
+        self.window = deque(maxlen=config.n_f)
         self.x_hat = np.zeros(n_s)
         self.gate_open = False  # once held, self-iteration collapses to 1
-        # packet -> true Frame, for packets in the window
-        self._sent = {}
-        # packet -> image after it, for the packets feedback can still read
-        self._x_hist = {0: self.x_hat.copy()}
+        # images after the last n_b + 1 packets (and before the first);
+        # [0] is the image feedback after this packet compares against
+        self._x_hist = deque([self.x_hat], maxlen=config.n_b + 2)
 
     # -- decoding -----------------------------------------------------------
 
@@ -152,11 +157,7 @@ class JointRunner:
             h_dec = h_true if cfg.decoder == "genie" else ch.channel(self.x_hat)
             decoded = self._decode(rx.y, h_dec)
             symbols = decoded.indices
-        self.window.push(PacketRecord(packet, rx.y, symbols, ch))
-        self._sent[packet] = frame
-        live = {rec.packet for rec in self.window.records}
-        self._sent = {p: v for p, v in self._sent.items() if p in live}
-
+        rec = PacketRecord(packet, rx.y, symbols, ch)
         trace = PacketTrace(
             packet,
             mse=np.inf,
@@ -164,6 +165,8 @@ class JointRunner:
             pilot=is_pilot,
             gate=self.gate_open,
         )
+        self.window.append((rec, frame.symbol_indices, trace))
+        records = [r for r, _, _ in self.window]
         k_s = 1 if self.gate_open else cfg.k_s
         for it in range(k_s):
             trace.ks_used = it + 1
@@ -173,14 +176,13 @@ class JointRunner:
             mu = cfg.mu if self.gate_open else 0.0
             try:
                 self.x_hat, _ = sense(
-                    self.window, self.cb, self.prior,
-                    mu=mu, ore_mode=cfg.ore_mode,
+                    records, self.cb, self.prior,
+                    mu=mu, x_prev=x_old, ore_mode=cfg.ore_mode,
                 )
             except GampDivergence:
                 trace.diverged = True
                 self.x_hat = x_old
                 break
-            self.window.x_prev = self.x_hat
             moved = float(np.linalg.norm(self.x_hat - x_old))
             if moved < self.eps_k:
                 if not self.gate_open:
@@ -191,56 +193,40 @@ class JointRunner:
                 # re-decode this packet with the fresher image
                 h_dec = ch.channel(self.x_hat)
                 decoded = self._decode(rx.y, h_dec)
-                self.window.update_symbols(packet, decoded.indices)
+                rec.symbol_indices = decoded.indices
                 trace.ser = ser(decoded.indices, frame.symbol_indices)
         trace.mse = mse(self.x_hat, self.truth.values)
         trace.wall_ms = (time.perf_counter() - t0) * 1e3
-        # feedback after this packet reads packet - n_b - 1, later ones newer
-        # packets, so older images are dropped
-        self._x_hist[packet] = self.x_hat.copy()
-        self._x_hist = {
-            p: x for p, x in self._x_hist.items() if p >= packet - cfg.n_b - 1
-        }
+        self._x_hist.append(self.x_hat)
         return trace
 
-    def feedback(self, packet: int, trace: RunTrace):
+    def feedback(self, packet: int):
         """Re-decode the previous n_b packets with the packet-k image.
 
-        Refreshes the stored decodes in the window and records each touched
-        packet's post-feedback SER. Skipped entirely once the image has
-        stopped moving over the feedback span (nothing left to revise).
-        Expects trace to hold one row per packet, in packet order, as run()
-        appends them.
+        Walks the window entries before the newest one, at most n_b of
+        them; pilot packets are skipped (their symbols are exact). Each
+        re-decode replaces the record's symbols, which drops its cached
+        estimate, and sets its trace row's ser_post_feedback. Skipped
+        entirely until packet n_b + 1, and once the image has stopped moving
+        over the feedback span (nothing left to revise).
         """
         cfg = self.config
         if cfg.n_b == 0 or packet <= cfg.n_b:
             return
-        anchor = self._x_hist.get(packet - cfg.n_b - 1)
-        if (
-            anchor is not None
-            and float(np.linalg.norm(self.x_hat - anchor)) < self.eps_k
-        ):
+        if float(np.linalg.norm(self.x_hat - self._x_hist[0])) < self.eps_k:
             return
-        # the touched packets' rows are among the last n_b + 1
-        by_packet = {p.packet: p for p in trace.packets[-(cfg.n_b + 1):]}
-        for rec in self.window.records:
-            if not (packet - cfg.n_b <= rec.packet < packet):
+        for rec, sent, row in list(self.window)[-cfg.n_b - 1 : -1]:
+            if row.pilot:
                 continue
-            if rec.packet <= cfg.n_pilot:
-                continue  # pilot symbols are already exact
-            frame = self._sent[rec.packet]
-            h_dec = rec.channel.channel(self.x_hat)
-            decoded = self._decode(rec.y, h_dec)
-            self.window.update_symbols(rec.packet, decoded.indices)
-            row = by_packet.get(rec.packet)
-            if row is not None:
-                row.ser_post_feedback = ser(decoded.indices, frame.symbol_indices)
+            decoded = self._decode(rec.y, rec.channel.channel(self.x_hat))
+            rec.symbol_indices = decoded.indices
+            row.ser_post_feedback = ser(decoded.indices, sent)
 
     def run(self) -> RunTrace:
         trace = RunTrace()
         for packet in range(1, self.config.n_packets + 1):
             trace.packets.append(self.forward_step(packet))
-            self.feedback(packet, trace)
+            self.feedback(packet)
         trace.x_final = self.x_hat.copy()
         return trace
 

@@ -9,14 +9,13 @@ A PacketRecord carries its packet's PacketChannel, which holds the static
 channel part and the scatter operator of the packet's IRS pattern. The
 record computes two products of its current decode once and keeps them: its
 EstimatedChannel and the scatter components of all OREs (the estimate minus
-the static part). Replacing the record's symbols, by
-SenseWindow.update_symbols or by assigning symbol_indices, drops both.
-Measurement matrices are not kept: sense builds each record's matrices from
-its PacketChannel while stacking. A record is sensed against one codebook:
-no cache is keyed on it.
+the static part). Assigning a new decode to symbol_indices (self-iteration,
+feedback) drops both. Measurement matrices are not kept: sense builds each
+record's matrices from its PacketChannel while stacking. A record is sensed
+against one codebook: no cache is keyed on it. sense takes any sequence of
+records; the closed loop keeps its window in a bounded deque.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +28,14 @@ from .transceiver import codeword_tensor, Frame
 __all__ = [
     "EstimatedChannel",
     "PacketRecord",
-    "SenseWindow",
     "estimate_channel",
     "sense",
 ]
 
-# the ridge biases an estimate by up to ridge_rel * cond(S^H S) relative;
-# an ORE whose bias bound exceeds this is flagged unobserved
+# relative ridge on ill-conditioned symbol matrices; it biases an estimate by
+# up to _RIDGE_REL * cond(S^H S) relative, and an ORE whose bias bound
+# exceeds _RIDGE_BIAS_LIMIT is flagged unobserved
+_RIDGE_REL = 1e-6
 _RIDGE_BIAS_LIMIT = 1e-2
 
 
@@ -52,13 +52,13 @@ class EstimatedChannel:
     noise_var: float = 0.0  # mean per-coefficient estimate variance (complex)
 
 
-def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> EstimatedChannel:
+def estimate_channel(y, symbol_indices, cb: Codebook) -> EstimatedChannel:
     """Least-squares per (ORE, antenna) channel estimation from known/decoded symbols.
 
     For ORE r, solves min ||y_r - S_r h||^2 over the d_f users sharing r,
-    with a small ridge (ridge_rel * trace(S^H S)/d_f) for ill-conditioned
+    with a small ridge (_RIDGE_REL * trace(S^H S)/d_f) for ill-conditioned
     symbol matrices. The ridge biases the estimate by up to
-    ridge_rel * cond(S^H S) relative; OREs where that bound exceeds 1e-2
+    _RIDGE_REL * cond(S^H S) relative; OREs where that bound exceeds 1e-2
     (rank-deficient or nearly so) are flagged unobserved. Needs N_T >= d_f
     slots per ORE.
     """
@@ -80,9 +80,9 @@ def estimate_channel(y, symbol_indices, cb: Codebook, ridge_rel=1e-6) -> Estimat
             )
         s = e[:, r, users]  # (N_T, L)
         gram = s.conj().T @ s
-        if ridge_rel * np.linalg.cond(gram) > _RIDGE_BIAS_LIMIT:
+        if _RIDGE_REL * np.linalg.cond(gram) > _RIDGE_BIAS_LIMIT:
             continue  # flagged: left unobserved, excluded from stacking
-        tau = ridge_rel * np.real(np.trace(gram)) / len(users)
+        tau = _RIDGE_REL * np.real(np.trace(gram)) / len(users)
         reg = gram + tau * np.eye(len(users))
         reg_inv = np.linalg.inv(reg)
         h_sub = reg_inv @ (s.conj().T @ y[:, r, :])  # (L, N_R)
@@ -131,54 +131,29 @@ class PacketRecord:
         return self._scat
 
 
-@dataclass
-class SenseWindow:
-    """Ring buffer of the last n_f packets plus momentum state."""
-
-    n_f: int
-    mu: float = 0.0
-    x_prev: np.ndarray | None = field(default=None, repr=False)
-    records: deque = None
-
-    def __post_init__(self):
-        if self.n_f < 1:
-            raise ValueError("window length must be >= 1")
-        if not 0 <= self.mu < 1:
-            raise ValueError("momentum coefficient must lie in [0, 1)")
-        if self.records is None:
-            self.records = deque(maxlen=self.n_f)
-
-    def push(self, record: PacketRecord):
-        self.records.append(record)
-
-    def update_symbols(self, packet: int, symbol_indices):
-        """Replace the stored decode of a packet (self-iteration / feedback)."""
-        for rec in self.records:
-            if rec.packet == packet:
-                rec.symbol_indices = np.asarray(symbol_indices, dtype=int)
-                return True
-        return False
-
-
 def sense(
-    window: SenseWindow,
+    records,
     cb: Codebook,
     prior: PriorParams,
     mu: float = 0.0,
+    x_prev=None,
     ore_mode: str = "user_first",
-    damping: float = 0.7,
-    max_iter: int = 200,
 ):
     """Windowed GAMP imaging with optional momentum blending.
 
-    Stacks the scatter rows of every packet in the window. ore_mode
+    Stacks the scatter rows of every PacketRecord in records. ore_mode
     "user_first" takes one row per (packet, user) at the user's first
     occupied ORE (users transmit nothing on other OREs, so their channels
     are unobservable there); "all_ores" stacks every occupied ORE.
-    Blends x = (1-mu)*x_gamp + mu*x_prev, clamped to [0, 1].
+    Blends x = (1-mu)*x_gamp + mu*x_prev, clamped to [0, 1]; mu > 0 needs
+    x_prev.
     """
-    if not window.records:
+    if not records:
         raise ValueError("sense window is empty")
+    if not 0 <= mu < 1:
+        raise ValueError(f"momentum coefficient must lie in [0, 1), got {mu}")
+    if mu > 0 and x_prev is None:
+        raise ValueError("momentum (mu > 0) needs the previous image x_prev")
     if ore_mode not in ("user_first", "all_ores"):
         raise ValueError(f"unknown ore_mode {ore_mode!r}")
     # (ORE, user) pairs in stacking order: user by user, each user's OREs
@@ -189,7 +164,7 @@ def sense(
     ]
     ores_all, users_all = np.array(pairs).T
     rows, mats, noise_vars = [], [], []
-    for rec in window.records:
+    for rec in records:
         est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
         keep = est.observed[ores_all, users_all]
@@ -208,8 +183,8 @@ def sense(
     # noise energy in the stacked rows; where model error from wrong decodes
     # keeps it above even that, gamp_solve's x-change rule ends the run
     eps_t = max(1e-12 * float(np.sum(yv**2)), sigma_w * len(yv))
-    result = gamp_solve(phi, yv, q, eps_t=eps_t, damping=damping, max_iter=max_iter)
+    result = gamp_solve(phi, yv, q, eps_t=eps_t)
     x_hat = result.x
-    if mu > 0 and window.x_prev is not None:
-        x_hat = (1 - mu) * x_hat + mu * window.x_prev
+    if mu > 0:
+        x_hat = (1 - mu) * x_hat + mu * x_prev
     return np.clip(x_hat, 0.0, 1.0), result

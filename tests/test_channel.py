@@ -19,7 +19,7 @@ from jcas.channel import (
     scatter_rows,
 )
 from jcas.scene import voxel_centers
-from jcas.sensing import EstimatedChannel, PacketRecord, SenseWindow, sense
+from jcas.sensing import EstimatedChannel, PacketRecord, sense
 
 # quick and reproducible: a fixed example sequence, no per-example deadline
 _props = settings(derandomize=True, deadline=None, max_examples=25)
@@ -162,10 +162,8 @@ def test_stack_measurements_shapes(links, room, codebook, prior):
     rec._est = EstimatedChannel(
         np.zeros_like(ch.static), np.zeros((links.n_ores, links.n_users), dtype=bool)
     )
-    win = SenseWindow(1)
-    win.push(rec)
     with pytest.raises(ValueError, match="observable"):
-        sense(win, codebook, prior)
+        sense([rec], codebook, prior)
 
 
 def _pattern(rng, n):

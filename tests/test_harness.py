@@ -69,9 +69,18 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     ini = tmp_path / "bad.ini"
-    ini.write_text("[joint]\nnot_a_key = 1\n")
-    with pytest.raises(ValueError, match="unknown"):
-        ExperimentConfig.from_file(ini)
+    for text, where in (
+        ("[joint]\nnot_a_key = 1\n", r"\[joint\] key 'not_a_key'"),
+        ("[experiment]\nvaluess = 0 5\n", r"\[experiment\] key 'valuess'"),
+        ("[experiment]\nn_users = 20\n", r"\[experiment\] key 'n_users'"),
+        ("[scenario]\nn_user = 20\n", r"\[scenario\] key 'n_user'"),
+        ("[scenario]\nn_antenas = 4\n", r"\[scenario\] key 'n_antenas'"),
+        ("[scenario]\njoint = 1\n", r"\[scenario\] key 'joint'"),
+        ("[bogus]\nn_users = 20\n", r"section \[bogus\]"),
+    ):
+        ini.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.ini: unknown {where}"):
+            ExperimentConfig.from_file(ini)
 
 
 def _write_ini(cfg: ExperimentConfig, path):

@@ -23,6 +23,8 @@ def test_config_validation():
         JointConfig(decoder="bogus")
     with pytest.raises(ValueError):
         JointConfig(k_s=0)
+    with pytest.raises(ValueError):
+        JointConfig(n_f=0)
 
 
 def test_config_rejects_momentum_outside_unit_interval():
@@ -142,12 +144,48 @@ def test_runner_history_is_bounded(truth, links, codebook, prior):
     cfg = _cfg(n_f=3, n_b=1, n_packets=9, n_pilot=0)
     runner = JointRunner(truth, links, codebook, prior, cfg)
     trace = RunTrace()
+    images = [runner.x_hat.copy()]  # image after each packet, 0 = initial
     for packet in range(1, cfg.n_packets + 1):
         trace.packets.append(runner.forward_step(packet))
-        runner.feedback(packet, trace)
+        images.append(runner.x_hat.copy())
+        runner.feedback(packet)
+        window = [rec.packet for rec, _, _ in runner.window]
+        assert window == list(range(max(1, packet - cfg.n_f + 1), packet + 1))
         assert len(runner._x_hist) <= cfg.n_b + 2
-        assert len(runner._sent) <= cfg.n_f
+        # feedback's anchor is the image after packet - n_b - 1
+        assert np.array_equal(runner._x_hist[0], images[max(0, packet - cfg.n_b - 1)])
     assert any(p.ser_post_feedback is not None for p in trace.packets)
+
+
+@pytest.mark.parametrize("n_f", [2, 6])
+def test_feedback_redecodes_non_pilot_packets_in_window(truth, links, codebook, prior, n_f):
+    """n_b = 3: with n_f = 2 only the previous packet is still in the window.
+    eps_k = 0 keeps the image-moved skip from firing, so every call past
+    packet n_b re-decodes."""
+    cfg = _cfg(n_f=n_f, n_b=3, k_s=1, n_pilot=3, n_packets=9, eps_k=0.0)
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    decode, decoded = runner._decode, []
+
+    def counted(y, h):
+        # None for the forward decode, which runs before its packet is pushed
+        decoded.append(next((rec.packet for rec, _, _ in runner.window if rec.y is y), None))
+        return decode(y, h)
+
+    runner._decode = counted
+    rows = []
+    for packet in range(1, cfg.n_packets + 1):
+        rows.append(runner.forward_step(packet))
+        for row in rows:
+            row.ser_post_feedback = None
+        decoded.clear()
+        runner.feedback(packet)
+        expected = [
+            p
+            for p in range(max(1, packet - cfg.n_b, packet - n_f + 1), packet)
+            if p > cfg.n_pilot and packet > cfg.n_b
+        ]
+        assert decoded == expected
+        assert [r.packet for r in rows if r.ser_post_feedback is not None] == expected
 
 
 def test_runner_rejects_fewer_slots_than_largest_d_f(truth, links, codebook, prior):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from jcas.mpa import ser
 from jcas.sensing import (
     EstimatedChannel,
     PacketRecord,
-    SenseWindow,
     estimate_channel,
     sense,
 )
@@ -47,7 +48,7 @@ def test_estimate_channel_noiseless_exact(links, truth, codebook):
 )
 def test_estimate_channel_noiseless_exact_on_observed_pairs(seed, shape, m, n_ant, extra_slots):
     """Noiseless: observed pairs are exact up to the ridge's bias, which is at
-    most ridge_rel * cond(S^H S) relative, and never more than 1e-2 relative,
+    most _RIDGE_REL * cond(S^H S) relative, and never more than 1e-2 relative,
     since a worse-conditioned ORE is flagged; unobserved pairs are zero."""
     n_users, n_ores, d_v = shape
     cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
@@ -130,16 +131,6 @@ def test_scatter_component_inverts_composition(links, truth, codebook):
         assert np.allclose(scat[r], ch.scatter(truth.values)[r], atol=1e-12)
 
 
-def test_window_ring_buffer_and_update():
-    win = SenseWindow(3)
-    for k in range(5):
-        win.push(PacketRecord(k, np.zeros((1, 1, 1), dtype=complex), np.zeros((1, 1), dtype=int), None))
-    assert [r.packet for r in win.records] == [2, 3, 4]
-    assert win.update_symbols(3, np.ones((1, 1), dtype=int))
-    assert not win.update_symbols(0, np.ones((1, 1), dtype=int))
-    assert win.records[1].symbol_indices[0, 0] == 1
-
-
 def _assert_same_estimate(a, b):
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.observed, b.observed)
@@ -150,37 +141,25 @@ def test_record_cache_follows_its_decode(links, truth, codebook):
     sigma2 = noise_sigma(5.0, codebook)
     ch, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
     rec = PacketRecord(2, rx.y, frame.symbol_indices, ch)
-    win = SenseWindow(2)
-    win.push(rec)
     est = rec.estimate(codebook)
     assert rec.estimate(codebook) is est
     assert rec.scatter(codebook) is rec.scatter(codebook)
 
     rng = np.random.default_rng(0)
-    for replace_symbols in (
-        lambda sym: win.update_symbols(2, sym),
-        lambda sym: setattr(rec, "symbol_indices", sym),
-    ):
+    for _ in range(2):
         sym = rng.integers(0, codebook.m, frame.symbol_indices.shape)
-        replace_symbols(sym)
+        rec.symbol_indices = sym
         fresh = estimate_channel(rx.y, sym, codebook)
         _assert_same_estimate(rec.estimate(codebook), fresh)
         assert np.array_equal(rec.scatter(codebook), fresh.h - ch.static)
 
 
-def test_window_validation():
-    with pytest.raises(ValueError):
-        SenseWindow(0)
-    with pytest.raises(ValueError):
-        SenseWindow(3, mu=1.0)
-
-
 def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
-    win = SenseWindow(8)
+    records = []
     for k in range(1, 9):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        win.push(PacketRecord(k, rx.y, frame.symbol_indices, ch))
-    x_hat, result = sense(win, codebook, prior)
+        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+    x_hat, result = sense(records, codebook, prior)
     assert np.mean((x_hat - truth.values) ** 2) < 1e-8
 
 
@@ -188,33 +167,33 @@ def test_sense_noisy_better_with_longer_window(links, truth, codebook, prior):
     sigma2 = noise_sigma(10.0, codebook)
     mses = []
     for n_f in (2, 10):
-        win = SenseWindow(n_f)
+        window = deque(maxlen=n_f)  # keeps the last n_f of the 10 packets
         for k in range(1, 11):
             ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
-            win.push(PacketRecord(k, rx.y, frame.symbol_indices, ch))
-        x_hat, _ = sense(win, codebook, prior)
+            window.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+        x_hat, _ = sense(window, codebook, prior)
         mses.append(np.mean((x_hat - truth.values) ** 2))
     assert mses[1] < mses[0]
 
 
 def test_sense_momentum_blend(links, truth, codebook, prior):
-    win = SenseWindow(4, mu=0.9)
+    records = []
     for k in range(1, 5):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        win.push(PacketRecord(k, rx.y, frame.symbol_indices, ch))
-    plain, _ = sense(win, codebook, prior, mu=0.0)
-    win.x_prev = np.zeros_like(truth.values)
-    blended, _ = sense(win, codebook, prior, mu=0.9)
+        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+    x_prev = np.zeros_like(truth.values)
+    plain, _ = sense(records, codebook, prior, mu=0.0, x_prev=x_prev)
+    blended, _ = sense(records, codebook, prior, mu=0.9, x_prev=x_prev)
     assert np.allclose(blended, np.clip(0.1 * plain, 0, 1), atol=1e-12)
 
 
 def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
-    win = SenseWindow(2)
+    records = []
     for k in range(1, 3):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        win.push(PacketRecord(k, rx.y, frame.symbol_indices, ch))
-    x_first, _ = sense(win, codebook, prior, ore_mode="user_first")
-    x_all, _ = sense(win, codebook, prior, ore_mode="all_ores")
+        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+    x_first, _ = sense(records, codebook, prior, ore_mode="user_first")
+    x_all, _ = sense(records, codebook, prior, ore_mode="all_ores")
     # with only 2 packets the one-row-per-user stack is underdetermined;
     # stacking every occupied ORE doubles the rows and recovers the scene
     assert np.mean((x_all - truth.values) ** 2) < 1e-6
@@ -223,8 +202,15 @@ def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
 
 def test_sense_validation(codebook, prior):
     with pytest.raises(ValueError, match="empty"):
-        sense(SenseWindow(2), codebook, prior)
-    win = SenseWindow(2)
-    win.push(PacketRecord(0, np.zeros((4, 4, 2), dtype=complex), np.zeros((4, 6), dtype=int), None))
+        sense([], codebook, prior)
+    records = [
+        PacketRecord(0, np.zeros((4, 4, 2), dtype=complex), np.zeros((4, 6), dtype=int), None)
+    ]
     with pytest.raises(ValueError, match="ore_mode"):
-        sense(win, codebook, prior, ore_mode="bogus")
+        sense(records, codebook, prior, ore_mode="bogus")
+    x_prev = np.zeros(10)
+    for mu in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="momentum"):
+            sense(records, codebook, prior, mu=mu, x_prev=x_prev)
+    with pytest.raises(ValueError, match="x_prev"):
+        sense(records, codebook, prior, mu=0.5)
