@@ -9,10 +9,10 @@ measurement stacks are bridged via lift_complex.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "PriorParams",
@@ -28,6 +28,18 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
 # relative image change at which a run has settled: ||x_t - x_{t-1}|| <= _X_TOL ||x_t||
 _X_TOL = 1e-4
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF of a scalar, by cephes' ndtr branches on math.erf.
+
+    scipy.special.ndtr would do, but importing it doubles jcas's import time.
+    """
+    x = a * math.sqrt(0.5)
+    if abs(x) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ class PriorParams:
         if self.sigma_w < 0:
             raise ValueError("noise variance must be nonnegative")
         s = np.sqrt(self.sigma_x)
-        inside = ndtr((1 - self.theta) / s) - ndtr((0 - self.theta) / s)
+        inside = _ndtr((1 - self.theta) / s) - _ndtr((0 - self.theta) / s)
         alpha = float(self.lam * (1.0 - inside))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "spike_mass", 1.0 - self.lam + alpha)

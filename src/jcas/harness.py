@@ -295,7 +295,7 @@ def _usable_cpus() -> int:
 
 
 # OpenBLAS's thread-count setter under its plain, 64-bit-integer and
-# scipy-openblas (numpy's wheels) symbol names
+# scipy-openblas (numpy's wheels) symbol names; the getter is named alike
 _BLAS_SET_THREADS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
@@ -303,27 +303,37 @@ _BLAS_SET_THREADS = (
 )
 
 
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of each OpenBLAS this process has
+    mapped; empty where there is none."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {ln.split()[-1] for ln in f if "openblas" in ln}
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            get_name = name.replace("_set_", "_get_")
+            if hasattr(lib, name) and hasattr(lib, get_name):
+                getter, setter = getattr(lib, get_name), getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
 def _one_blas_thread():
     """Pool-worker initializer: one OpenBLAS thread in this worker.
 
     A forked worker keeps the caller's BLAS thread count; with a worker on
     every usable CPU, more BLAS threads only contend for the same cores.
-    Results do not depend on the count. Looks for OpenBLAS among the
-    libraries this process has mapped; does nothing where there is none.
+    Results do not depend on the count.
     """
-    try:
-        with open("/proc/self/maps") as f:
-            paths = {ln.split()[-1] for ln in f if "openblas" in ln}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in _BLAS_SET_THREADS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+    for _, setter in _openblas_threads():
+        setter(1)
 
 
 def run_points(cfg: ExperimentConfig, points) -> list:
@@ -332,15 +342,25 @@ def run_points(cfg: ExperimentConfig, points) -> list:
     Uses one worker process per usable CPU, at most one per point, and runs
     in this process when that is one. Workers are forked: they import
     nothing again and inherit the caller's state, and callers need no
-    __main__ guard. Each worker runs with one BLAS thread. Each point is a
-    pure function of its child seed, so the results do not depend on the
-    number of workers. A bug in a point propagates with its own type, after
-    the pool has shut down and its pending points are cancelled.
+    __main__ guard. Each point runs with one BLAS thread; in process, the
+    caller's count is restored afterwards. Each point is a pure function of
+    its child seed, so the results do not depend on the number of workers.
+    A bug in a point propagates with its own type, after the pool has shut
+    down and its pending points are cancelled.
     """
     points = list(points)
     workers = min(len(points), _usable_cpus())
     if workers <= 1:
-        return [_run_point(cfg, value, trial) for value, trial in points]
+        # a second BLAS thread buys the loop no speed, only CPU time
+        blas = _openblas_threads()
+        counts = [getter() for getter, _ in blas]
+        for _, setter in blas:
+            setter(1)
+        try:
+            return [_run_point(cfg, value, trial) for value, trial in points]
+        finally:
+            for (_, setter), count in zip(blas, counts):
+                setter(count)
     # imported here: they add about 5% to the import time of jcas
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

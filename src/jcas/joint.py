@@ -157,7 +157,7 @@ class JointRunner:
             h_dec = h_true if cfg.decoder == "genie" else ch.channel(self.x_hat)
             decoded = self._decode(rx.y, h_dec)
             symbols = decoded.indices
-        rec = PacketRecord(packet, rx.y, symbols, ch)
+        rec = PacketRecord(rx.y, symbols, ch)
         trace = PacketTrace(
             packet,
             mse=np.inf,

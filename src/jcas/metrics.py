@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .scma import Codebook
 
@@ -75,6 +74,8 @@ def cs_bound(bp: BoundParams) -> float:
 
 def _q(x):
     """Gaussian tail function Q(x) = P(N(0,1) > x)."""
+    from scipy.special import ndtr  # slow to import; the loop never gets here
+
     return ndtr(-x)
 
 

@@ -100,7 +100,6 @@ def estimate_channel(y, symbol_indices, cb: Codebook) -> EstimatedChannel:
 class PacketRecord:
     """One packet's worth of sensing inputs kept in the sliding window."""
 
-    packet: int
     y: np.ndarray = field(repr=False)  # (N_T, R, N_R)
     symbol_indices: np.ndarray = field(repr=False)  # (N_T, N_u), current decode
     channel: PacketChannel = None

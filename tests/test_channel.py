@@ -158,7 +158,7 @@ def test_stack_measurements_shapes(links, room, codebook, prior):
     assert h.shape == (3 * links.n_antennas,)
     assert a.reshape(h.size, -1).shape == (3 * links.n_antennas, room.n_voxels)
     # a window without one observed (ORE, user) pair has nothing to stack
-    rec = PacketRecord(1, None, None, ch)
+    rec = PacketRecord(None, None, ch)
     rec._est = EstimatedChannel(
         np.zeros_like(ch.static), np.zeros((links.n_ores, links.n_users), dtype=bool)
     )

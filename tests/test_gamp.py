@@ -36,6 +36,38 @@ def test_alpha_is_outside_mass():
     assert np.isclose(q.spike_mass, 1 - q.lam + q.alpha)
 
 
+def _scipy_alpha(lam, theta, sigma_x):
+    """alpha as computed with scipy.special.ndtr."""
+    from scipy.special import ndtr
+
+    s = np.sqrt(sigma_x)
+    return float(lam * (1.0 - (ndtr((1 - theta) / s) - ndtr((0 - theta) / s))))
+
+
+def test_ndtr_matches_scipy():
+    from scipy.special import ndtr
+
+    grid = np.linspace(-40.0, 40.0, 160_001)
+    ours = np.array([gamp_module._ndtr(float(a)) for a in grid])
+    assert np.max(np.abs(ours - ndtr(grid))) <= 4.5e-16
+
+
+@pytest.mark.parametrize("lam", [0.015, 0.03])  # build_system's priors on the workloads
+def test_alpha_bit_equal_to_scipy_on_workload_priors(lam):
+    q = PriorParams(lam, 0.5, 0.1)
+    alpha = _scipy_alpha(lam, 0.5, 0.1)
+    assert q.alpha == alpha
+    assert q.spike_mass == 1.0 - lam + alpha
+
+
+def test_alpha_matches_scipy_on_grid():
+    for lam in (0.005, 0.015, 0.03, 0.05, 0.1):
+        for theta in np.linspace(0.0, 1.0, 21):
+            for sigma_x in np.geomspace(1e-4, 1e2, 31):
+                q = PriorParams(lam, theta, sigma_x)
+                assert abs(q.alpha - _scipy_alpha(lam, theta, sigma_x)) <= 1e-16
+
+
 def test_replace_recomputes_derived_masses():
     q = PriorParams(lam=0.2, theta=0.5, sigma_x=0.04)
     q2 = replace(q, lam=0.1)

@@ -388,17 +388,25 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
             assert (tmp_path / (threads + workers) / name).read_bytes() == first
 
 
+# child-interpreter code binding `counts()` to the thread count of each
+# OpenBLAS the process has mapped, read apart from jcas's own lookup
+_BLAS_COUNTS = (
+    "import ctypes, json; "
+    "paths = {ln.split()[-1] for ln in open('/proc/self/maps') if 'openblas' in ln}; "
+    "libs = [ctypes.CDLL(path) for path in paths]; "
+    "get = [getattr(lib, n) for lib in libs for n in ('openblas_get_num_threads', "
+    "'openblas_get_num_threads64_', 'scipy_openblas_get_num_threads64_') "
+    "if hasattr(lib, n)]; "
+    "counts = lambda: [g() for g in get]; "
+)
+
+
 def test_pool_worker_initializer_sets_one_blas_thread():
     """_one_blas_thread drops OpenBLAS to one thread where OpenBLAS is loaded."""
     code = (
-        "import ctypes, json; from jcas.harness import _one_blas_thread; "
-        "paths = {ln.split()[-1] for ln in open('/proc/self/maps') if 'openblas' in ln}; "
-        "libs = [ctypes.CDLL(path) for path in paths]; "
-        "get = [getattr(lib, n) for lib in libs for n in ('openblas_get_num_threads', "
-        "'openblas_get_num_threads64_', 'scipy_openblas_get_num_threads64_') "
-        "if hasattr(lib, n)]; "
-        "before = [g() for g in get]; _one_blas_thread(); "
-        "print(json.dumps([before, [g() for g in get]]))"
+        "from jcas.harness import _one_blas_thread; " + _BLAS_COUNTS +
+        "before = counts(); _one_blas_thread(); "
+        "print(json.dumps([before, counts()]))"
     )
     env = _subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     out = subprocess.run(
@@ -411,17 +419,57 @@ def test_pool_worker_initializer_sets_one_blas_thread():
     assert set(after) == {1}, (before, after)  # before: 2 threads on a multi-CPU machine
 
 
+def test_in_process_points_run_with_one_blas_thread():
+    """Run in process, a point sees one OpenBLAS thread, and the caller's
+    count is back afterwards, also when a point raises."""
+    code = "import jcas.harness; " + _BLAS_COUNTS + """
+jcas.harness._usable_cpus = lambda: 1
+seen = []
+def point(cfg, value, trial):
+    seen.append(counts())
+    if trial == 2:
+        raise ZeroDivisionError
+jcas.harness._run_point = point
+before = counts()
+jcas.harness.run_points(None, [(0, 0), (0, 1)])
+after = counts()
+try:
+    jcas.harness.run_points(None, [(0, 2)])
+except ZeroDivisionError:
+    pass
+print(json.dumps([before, seen, after, counts()]))
+"""
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    before, seen, after, after_error = json.loads(out.stdout)
+    if not before:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    if set(before) != {2}:
+        pytest.skip(f"OpenBLAS starts with {before} threads, not the 2 asked for")
+    assert seen == [[1] * len(before)] * 3
+    assert after == before and after_error == before
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    """Importing the loop loads only scipy.special; stats, spatial and optimize
-    are slow to import and the loop does not need them."""
+    """Importing the loop, and running a packet of it, loads no scipy module:
+    scipy.special alone doubles jcas's import time, and only GAMP's restart
+    mode and metrics.ser_union_bound need scipy."""
     env = _subprocess_env()
     code = (
         "import sys, jcas.harness, jcas.joint; "
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.spatial', 'scipy.optimize')"
-        " if m in sys.modules))"
+        "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "after_import = scipy(); "
+        "cfg = jcas.harness.ExperimentConfig(n_antennas=4, "
+        "joint=jcas.joint.JointConfig(n_packets=2, n_slots=16, n_pilot=0, n_f=2)); "
+        "runner = jcas.joint.JointRunner(*jcas.harness.build_system(cfg, cfg.values[0], 0)); "
+        "runner.forward_step(1); "
+        "print(' '.join(after_import), '|', ' '.join(scipy()))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    assert out.stdout.split() == ["|"]

@@ -149,7 +149,7 @@ def test_runner_history_is_bounded(truth, links, codebook, prior):
         trace.packets.append(runner.forward_step(packet))
         images.append(runner.x_hat.copy())
         runner.feedback(packet)
-        window = [rec.packet for rec, _, _ in runner.window]
+        window = [row.packet for _, _, row in runner.window]
         assert window == list(range(max(1, packet - cfg.n_f + 1), packet + 1))
         assert len(runner._x_hist) <= cfg.n_b + 2
         # feedback's anchor is the image after packet - n_b - 1
@@ -168,7 +168,7 @@ def test_feedback_redecodes_non_pilot_packets_in_window(truth, links, codebook, 
 
     def counted(y, h):
         # None for the forward decode, which runs before its packet is pushed
-        decoded.append(next((rec.packet for rec, _, _ in runner.window if rec.y is y), None))
+        decoded.append(next((row.packet for rec, _, row in runner.window if rec.y is y), None))
         return decode(y, h)
 
     runner._decode = counted

@@ -121,7 +121,7 @@ def test_estimate_channel_needs_enough_slots(codebook):
 
 def test_scatter_component_inverts_composition(links, truth, codebook):
     ch = PacketChannel(links, random_binary_pattern(400, 3, 5))
-    rec = PacketRecord(3, None, None, ch)
+    rec = PacketRecord(None, None, ch)
     # a record whose estimate is the exact composite channel
     rec._est = EstimatedChannel(
         ch.channel(truth.values), np.ones((links.n_ores, links.n_users), dtype=bool)
@@ -140,7 +140,7 @@ def _assert_same_estimate(a, b):
 def test_record_cache_follows_its_decode(links, truth, codebook):
     sigma2 = noise_sigma(5.0, codebook)
     ch, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
-    rec = PacketRecord(2, rx.y, frame.symbol_indices, ch)
+    rec = PacketRecord(rx.y, frame.symbol_indices, ch)
     est = rec.estimate(codebook)
     assert rec.estimate(codebook) is est
     assert rec.scatter(codebook) is rec.scatter(codebook)
@@ -158,7 +158,7 @@ def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
     records = []
     for k in range(1, 9):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
     x_hat, result = sense(records, codebook, prior)
     assert np.mean((x_hat - truth.values) ** 2) < 1e-8
 
@@ -170,7 +170,7 @@ def test_sense_noisy_better_with_longer_window(links, truth, codebook, prior):
         window = deque(maxlen=n_f)  # keeps the last n_f of the 10 packets
         for k in range(1, 11):
             ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
-            window.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+            window.append(PacketRecord(rx.y, frame.symbol_indices, ch))
         x_hat, _ = sense(window, codebook, prior)
         mses.append(np.mean((x_hat - truth.values) ** 2))
     assert mses[1] < mses[0]
@@ -180,7 +180,7 @@ def test_sense_momentum_blend(links, truth, codebook, prior):
     records = []
     for k in range(1, 5):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
     x_prev = np.zeros_like(truth.values)
     plain, _ = sense(records, codebook, prior, mu=0.0, x_prev=x_prev)
     blended, _ = sense(records, codebook, prior, mu=0.9, x_prev=x_prev)
@@ -191,7 +191,7 @@ def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
     records = []
     for k in range(1, 3):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(k, rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
     x_first, _ = sense(records, codebook, prior, ore_mode="user_first")
     x_all, _ = sense(records, codebook, prior, ore_mode="all_ores")
     # with only 2 packets the one-row-per-user stack is underdetermined;
@@ -204,7 +204,7 @@ def test_sense_validation(codebook, prior):
     with pytest.raises(ValueError, match="empty"):
         sense([], codebook, prior)
     records = [
-        PacketRecord(0, np.zeros((4, 4, 2), dtype=complex), np.zeros((4, 6), dtype=int), None)
+        PacketRecord(np.zeros((4, 4, 2), dtype=complex), np.zeros((4, 6), dtype=int), None)
     ]
     with pytest.raises(ValueError, match="ore_mode"):
         sense(records, codebook, prior, ore_mode="bogus")
