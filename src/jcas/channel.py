@@ -9,6 +9,10 @@ The scattered part is linear in the scatterer vector x, which is what turns
 channel estimates into compressed-sensing measurements of the environment.
 A PacketChannel holds the two products one IRS pattern fixes; a packet's
 composite channel, scatter rows and measurement matrices all follow from it.
+
+The IRS-AP and voxel-IRS links depend only on the room (AP array, IRS panel,
+voxel grid, carriers), not on the users: los_links computes them once per
+room and hands every LinkSet of that room the same read-only arrays.
 """
 
 from dataclasses import dataclass, field
@@ -96,7 +100,6 @@ class IrsPattern:
     """Per-element reflection coefficients theta = rho * exp(j*phi) for one packet."""
 
     coefficients: np.ndarray  # (N_I,) complex
-    packet: int = 0
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
@@ -116,7 +119,7 @@ def random_binary_pattern(n_elements: int, packet: int, seed) -> IrsPattern:
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(packet))))
     signs = rng.integers(0, 2, size=n_elements) * 2 - 1
-    return IrsPattern(signs.astype(complex), packet)
+    return IrsPattern(signs.astype(complex))
 
 
 @dataclass
@@ -170,6 +173,29 @@ def _distances(a, b):
     return np.sqrt(sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1])))
 
 
+_IRS_LINKS = {}  # {key: _irs_links result} of the last room only
+
+
+def _irs_links(ap, irs, vox, freqs):
+    """(shortest IRS-AP distance, shortest voxel-IRS distance, IRS-AP gains
+    h_s1 (R, N_I, N_R), voxel-IRS gains h_s2 (R, N_s, N_I)) of one room.
+
+    Keyed on the exact bytes of everything they depend on; the arrays of the
+    last room are kept, read-only, and shared by every caller in that room.
+    """
+    key = (ap.tobytes(), irs.tobytes(), vox.tobytes(), freqs.tobytes())
+    if key not in _IRS_LINKS:
+        d_ia = _distances(irs, ap)
+        d_vi = _distances(vox, irs)
+        h_s1 = np.stack([_gain(d_ia, f) for f in freqs])
+        h_s2 = np.stack([_gain(d_vi, f) for f in freqs])
+        h_s1.flags.writeable = False
+        h_s2.flags.writeable = False
+        _IRS_LINKS.clear()
+        _IRS_LINKS[key] = (np.min(d_ia), np.min(d_vi), h_s1, h_s2)
+    return _IRS_LINKS[key]
+
+
 def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid, d_min=None) -> LinkSet:
     """Synthesize the five LOS sub-channels for every ORE.
 
@@ -177,6 +203,7 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid, d_min=None) -> Link
     (default: one voxel diagonal) are rejected as degenerate. Links touching
     voxel centers use a looser floor of a quarter of the smallest voxel edge,
     since no device can be a full voxel diagonal away from every voxel center.
+    h_s1 and h_s2 are the room's shared read-only arrays (see _irs_links).
     """
     if d_min is None:
         d_min = float(np.linalg.norm(spec.voxel_dims))
@@ -185,27 +212,22 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid, d_min=None) -> Link
         _check_inside(pts, spec.room_dims, name)
 
     vox = voxel_centers(spec)
+    freqs = grid.frequencies
     d_ua = _distances(geom.users, geom.ap)
     d_ui = _distances(geom.users, geom.irs)
-    d_ia = _distances(geom.irs, geom.ap)
-    d_vi = _distances(vox, geom.irs)
     d_uv = _distances(geom.users, vox)
-    for d, name in ((d_ua, "user-AP"), (d_ui, "user-IRS"), (d_ia, "IRS-AP")):
-        if np.min(d) <= d_min:
+    min_ia, min_vi, h_s1, h_s2 = _irs_links(geom.ap, geom.irs, vox, freqs)
+    for d, name in ((np.min(d_ua), "user-AP"), (np.min(d_ui), "user-IRS"), (min_ia, "IRS-AP")):
+        if d <= d_min:
             raise ValueError(
-                f"degenerate geometry: {name} distance {np.min(d):.3g} m <= d_min {d_min:.3g} m"
+                f"degenerate geometry: {name} distance {d:.3g} m <= d_min {d_min:.3g} m"
             )
-    for d, name in ((d_vi, "voxel-IRS"), (d_uv, "user-voxel")):
-        if np.min(d) <= d_min_vox:
-            raise ValueError(
-                f"degenerate geometry: {name} distance {np.min(d):.3g} m too small"
-            )
+    for d, name in ((min_vi, "voxel-IRS"), (np.min(d_uv), "user-voxel")):
+        if d <= d_min_vox:
+            raise ValueError(f"degenerate geometry: {name} distance {d:.3g} m too small")
 
-    freqs = grid.frequencies
     h_los = np.stack([_gain(d_ua, f) for f in freqs])
     h_irs1 = np.stack([_gain(d_ui, f) for f in freqs])
-    h_s1 = np.stack([_gain(d_ia, f) for f in freqs])
-    h_s2 = np.stack([_gain(d_vi, f) for f in freqs])
     h_s3 = np.stack([_gain(d_uv, f) for f in freqs])
     return LinkSet(freqs, h_los, h_irs1, h_s1, h_s2, h_s3)
 
@@ -228,7 +250,8 @@ def calibrate_links(
     direct IRS path to RMS target_irs, and the scattered path so a typical
     scene (expected_scatterers voxels of mean coefficient) gives entries of
     RMS target_scatter. h_s1 is shared by both IRS paths and is left alone;
-    h_irs1 and h_s3 carry the path scales.
+    h_irs1 and h_s3 carry the path scales. The result shares links' h_s1 and
+    h_s2 arrays (the room's read-only IRS links from los_links), uncopied.
     """
     g_los = np.sqrt(np.mean(np.abs(links.h_los) ** 2))
     ch = PacketChannel(links, reference)
@@ -241,8 +264,8 @@ def calibrate_links(
         links.frequencies,
         links.h_los * (target_los / g_los),
         links.h_irs1 * (target_irs / g_irs),
-        links.h_s1.copy(),
-        links.h_s2.copy(),
+        links.h_s1,
+        links.h_s2,
         links.h_s3 * (target_scatter / g_scatter),
     )
 
@@ -262,7 +285,6 @@ class PacketChannel:
                 f"IRS pattern has {irs.n_elements} elements, links expect {links.h_s1.shape[1]}"
             )
         self.links = links
-        self.irs = irs
         w = irs.coefficients[:, None] * links.h_s1  # (R, N_I, N_R)
         self.static = links.h_los + links.h_irs1 @ w
         self.g = np.ascontiguousarray((links.h_s2 @ w).transpose(0, 2, 1))

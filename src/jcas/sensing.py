@@ -10,10 +10,12 @@ channel part and the scatter operator of the packet's IRS pattern. The
 record computes two products of its current decode once and keeps them: its
 EstimatedChannel and the scatter components of all OREs (the estimate minus
 the static part). Assigning a new decode to symbol_indices (self-iteration,
-feedback) drops both. Measurement matrices are not kept: sense builds each
-record's matrices from its PacketChannel while stacking. A record is sensed
-against one codebook: no cache is keyed on it. sense takes any sequence of
-records; the closed loop keeps its window in a bounded deque.
+feedback) drops both. The record also keeps the lifted (Re, Im) measurement
+rows of its stacking pairs, one set per ore_mode, computed on first use;
+they depend only on the PacketChannel, so a new decode keeps them, and they
+live as long as the record stays in the window. A record is sensed against
+one codebook: no cache is keyed on it. sense takes any sequence of records;
+the closed loop keeps its window in a bounded deque.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PacketChannel
-from .gamp import PriorParams, gamp_solve, lift_complex
+from .gamp import PriorParams, gamp_solve
 from .scma import Codebook, factor_graph
 from .transceiver import codeword_tensor, Frame
 
@@ -106,6 +108,8 @@ class PacketRecord:
     # estimate and scatter components (R, N_u, N_R) of the current decode
     _est: EstimatedChannel | None = field(default=None, init=False, repr=False)
     _scat: np.ndarray | None = field(default=None, init=False, repr=False)
+    # ore_mode -> lifted measurement rows of its pairs (see lifted_rows)
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __setattr__(self, name, value):
         if name == "symbol_indices":
@@ -128,6 +132,14 @@ class PacketRecord:
         if self._scat is None:
             self._scat = self.estimate(cb).h - self.channel.static
         return self._scat
+
+    def lifted_rows(self, ore_mode, ores, users):
+        """Re and Im parts (2, len, N_R, N_s) of the measurement matrices of
+        ore_mode's (ORE, user) pairs ores, users, computed once per packet."""
+        if ore_mode not in self._rows:
+            a = self.channel.matrices(ores, users)
+            self._rows[ore_mode] = np.stack([a.real, a.imag])
+        return self._rows[ore_mode]
 
 
 def sense(
@@ -162,19 +174,27 @@ def sense(
         for r in (ores[:1] if ore_mode == "user_first" else ores)
     ]
     ores_all, users_all = np.array(pairs).T
-    rows, mats, noise_vars = [], [], []
+    rows, keeps, noise_vars = [], [], []
     for rec in records:
         est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
         keep = est.observed[ores_all, users_all]
-        ores, users = ores_all[keep], users_all[keep]
-        rows.append(rec.scatter(cb)[ores, users])
-        mats.append(rec.channel.matrices(ores, users))
+        rows.append(rec.scatter(cb)[ores_all[keep], users_all[keep]])
+        keeps.append(keep)
     h_tilde = np.concatenate(rows).ravel()
     if h_tilde.size == 0:
         raise ValueError("no observable channel rows in the window")
-    a_tilde = np.concatenate(mats).reshape(h_tilde.size, -1)
-    phi, yv = lift_complex(a_tilde, h_tilde)
+    # lift_complex's [Re; Im] of the stacked matrices, copied from the kept rows
+    n_r, n_s = records[0].channel.g.shape[1:]
+    phi = np.empty((2, h_tilde.size // n_r, n_r, n_s))
+    start = 0
+    for rec, keep in zip(records, keeps):
+        stop = start + np.count_nonzero(keep)
+        lifted = rec.lifted_rows(ore_mode, ores_all, users_all)
+        np.compress(keep, lifted, axis=1, out=phi[:, start:stop])
+        start = stop
+    phi = phi.reshape(2 * h_tilde.size, n_s)
+    yv = np.concatenate([h_tilde.real, h_tilde.imag])
     # lifted real parts carry half the complex estimate variance each
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)
     q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w, prior.renormalized)

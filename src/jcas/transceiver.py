@@ -23,10 +23,9 @@ __all__ = [
 
 @dataclass
 class Frame:
-    """Symbol indices per (time slot, user) plus the packet index k."""
+    """Symbol indices per (time slot, user)."""
 
     symbol_indices: np.ndarray  # (N_T, N_u) ints in [0, M)
-    packet: int = 0
 
     def __post_init__(self):
         s = np.atleast_2d(np.asarray(self.symbol_indices, dtype=int))
@@ -70,7 +69,7 @@ def noise_sigma(ebn0_db: float, cb: Codebook, ref_gain: float = 1.0) -> float:
 def random_frame(n_slots: int, cb: Codebook, packet: int, seed) -> Frame:
     """Uniform random symbols for every (slot, user), keyed by (seed, packet)."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(packet))))
-    return Frame(rng.integers(0, cb.m, size=(n_slots, cb.n_users)), packet)
+    return Frame(rng.integers(0, cb.m, size=(n_slots, cb.n_users)))
 
 
 def codeword_tensor(frame: Frame, cb: Codebook):

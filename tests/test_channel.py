@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jcas.channel import (
     C_LIGHT,
     _distances,
+    _gain,
     Geometry,
     IrsPattern,
     OreGrid,
@@ -18,7 +21,8 @@ from jcas.channel import (
     save_geometry,
     scatter_rows,
 )
-from jcas.scene import voxel_centers
+from jcas.harness import ExperimentConfig, build_system, default_geometry
+from jcas.scene import RoomSpec, voxel_centers
 from jcas.sensing import EstimatedChannel, PacketRecord, sense
 
 # quick and reproducible: a fixed example sequence, no per-example deadline
@@ -251,3 +255,62 @@ def test_distances_match_scipy_cdist(geometry, room):
     vox = voxel_centers(room)
     for a, b in ((geometry.users, geometry.ap), (geometry.irs, geometry.ap), (vox, geometry.irs)):
         assert np.array_equal(_distances(a, b), cdist(a, b))
+
+
+def _direct_irs_links(geom, spec, freqs):
+    """h_s1 and h_s2 computed afresh from the positions and carriers."""
+    vox = voxel_centers(spec)
+    h_s1 = np.stack([_gain(_distances(geom.irs, geom.ap), f) for f in freqs])
+    h_s2 = np.stack([_gain(_distances(vox, geom.irs), f) for f in freqs])
+    return h_s1, h_s2
+
+
+def test_irs_links_shared_and_read_only(geometry, room):
+    """h_s1 and h_s2 equal the direct gains, cannot be written, and are the
+    same arrays for every user drop in the room."""
+    grid = OreGrid.uniform_band(4)
+    links = los_links(geometry, room, grid)
+    h_s1, h_s2 = _direct_irs_links(geometry, room, grid.frequencies)
+    assert np.array_equal(links.h_s1, h_s1)
+    assert np.array_equal(links.h_s2, h_s2)
+    for h in (links.h_s1, links.h_s2):
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0, 0] = 0
+    moved = Geometry(geometry.users[:3] + 0.1, geometry.ap, geometry.irs)
+    other = los_links(moved, room, grid)
+    assert other.h_s1 is links.h_s1 and other.h_s2 is links.h_s2
+    assert not np.array_equal(other.h_s3, links.h_s3[:, :3])
+
+
+def test_calibrate_links_shares_irs_links_unchanged(geometry, room):
+    raw = los_links(geometry, room, OreGrid.uniform_band(4))
+    h_s1, h_s2 = raw.h_s1.copy(), raw.h_s2.copy()
+    cal = calibrate_links(raw, random_binary_pattern(400, 0, 7))
+    assert cal.h_s1 is raw.h_s1 and cal.h_s2 is raw.h_s2
+    assert np.array_equal(raw.h_s1, h_s1) and np.array_equal(raw.h_s2, h_s2)
+
+
+def test_sweep_points_share_irs_links():
+    """default_geometry draws only the users from the seed, so every trial
+    and every n_users point of a config shares h_s1 and h_s2; another AP
+    array, room or voxel grid gets fresh arrays of its own."""
+    cfg = ExperimentConfig(sweep="n_users", values=(4, 6), trials=2, seed=3, n_antennas=4)
+    points = [build_system(cfg, v, t)[1] for v in cfg.values for t in range(cfg.trials)]
+    first = points[0]
+    assert all(p.h_s1 is first.h_s1 and p.h_s2 is first.h_s2 for p in points)
+    assert not np.array_equal(points[0].h_s3, points[1].h_s3)  # users differ
+    for change in (
+        dict(n_antennas=8),
+        dict(room=(5.0, 4.0, 4.0)),
+        dict(voxel=(0.25, 0.5, 0.5)),
+    ):
+        base = build_system(cfg, 4, 0)[1]
+        changed = replace(cfg, **change)
+        links = build_system(changed, 4, 0)[1]
+        assert links.h_s1 is not base.h_s1 and links.h_s2 is not base.h_s2
+        # the seed draws only the users, which h_s1 and h_s2 do not see
+        geom = default_geometry(4, changed.n_antennas, changed.room, seed=0)
+        spec = RoomSpec(changed.room, changed.voxel)
+        h_s1, h_s2 = _direct_irs_links(geom, spec, OreGrid.uniform_band(4).frequencies)
+        assert np.array_equal(links.h_s1, h_s1) and np.array_equal(links.h_s2, h_s2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcas.channel import PacketChannel, random_binary_pattern
-from jcas.gamp import PriorParams
-from jcas.mpa import ser
+from jcas.gamp import PriorParams, lift_complex
+from jcas.joint import JointConfig, JointRunner
+from jcas.mpa import mpa_decode, ser
 from jcas.sensing import (
     EstimatedChannel,
     PacketRecord,
@@ -214,3 +215,127 @@ def test_sense_validation(codebook, prior):
             sense(records, codebook, prior, mu=mu, x_prev=x_prev)
     with pytest.raises(ValueError, match="x_prev"):
         sense(records, codebook, prior, mu=0.5)
+
+
+class _Stacked(Exception):
+    """Raised by the gamp_solve stand-in with the system sense passed it."""
+
+
+def _stacked_system(monkeypatch, records, cb, prior, ore_mode):
+    """The (phi, y) that sense passes to gamp_solve."""
+
+    def capture(phi, y, q, **kwargs):
+        raise _Stacked(phi.copy(), y.copy())
+
+    monkeypatch.setattr("jcas.sensing.gamp_solve", capture)
+    with pytest.raises(_Stacked) as caught:
+        sense(records, cb, prior, ore_mode=ore_mode)
+    return caught.value.args
+
+
+def _stacking_pairs(cb, ore_mode):
+    return np.array(
+        [
+            (r, nu)
+            for nu, ores in enumerate(factor_graph(cb).omega_u)
+            for r in (ores[:1] if ore_mode == "user_first" else ores)
+        ]
+    ).T
+
+
+def _lifted_from_scratch(records, cb, ore_mode):
+    """lift_complex of the concatenated measurement matrices of every record's
+    observed stacking pairs, with their scatter rows."""
+    ores_all, users_all = _stacking_pairs(cb, ore_mode)
+    rows, mats = [], []
+    for rec in records:
+        keep = rec.estimate(cb).observed[ores_all, users_all]
+        ores, users = ores_all[keep], users_all[keep]
+        rows.append(rec.scatter(cb)[ores, users])
+        mats.append(rec.channel.matrices(ores, users))
+    h_tilde = np.concatenate(rows).ravel()
+    return lift_complex(np.concatenate(mats).reshape(h_tilde.size, -1), h_tilde)
+
+
+@pytest.mark.parametrize("ore_mode", ["user_first", "all_ores"])
+def test_sense_stacks_kept_rows_bit_equal(monkeypatch, links, truth, codebook, prior, ore_mode):
+    """sense's GAMP input equals the system built from scratch, bit for bit:
+    on first stacking, on restacking the kept rows, and after re-decodes that
+    change which OREs are observed. Three-slot frames flag some OREs; packet
+    4's all-zero decode flags every ORE."""
+    sigma2 = noise_sigma(10.0, codebook)
+    records, sent = [], []
+    for k in range(1, 7):
+        ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2, n_slots=3)
+        sym = np.zeros_like(frame.symbol_indices) if k == 4 else frame.symbol_indices
+        records.append(PacketRecord(rx.y, sym, ch))
+        sent.append(frame.symbol_indices)
+    ores_all, _ = _stacking_pairs(codebook, ore_mode)
+    n_r = links.n_antennas
+
+    def check():
+        phi, y = _stacked_system(monkeypatch, records, codebook, prior, ore_mode)
+        ref_phi, ref_y = _lifted_from_scratch(records, codebook, ore_mode)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(y, ref_y)
+        return len(y) // (2 * n_r)  # stacked pairs
+
+    assert not records[3].estimate(codebook).observed.any()
+    # the mask drops pairs of records other than the all-zero one as well
+    assert check() < len(ores_all) * (len(records) - 1)
+    check()
+    records[3].symbol_indices = sent[3]
+    records[0].symbol_indices = np.zeros_like(sent[0])
+    check()
+
+
+def test_lifted_rows_built_once_per_packet(monkeypatch, truth, links, codebook, prior):
+    """Over a run with self-iteration and feedback, each packet's measurement
+    matrices are built once, although sense restacks every window record
+    many times and re-decodes replace their symbols."""
+    cfg = JointConfig(n_packets=10, n_slots=64, n_f=4, n_b=1, k_s=5, ebn0_db=6.0, seed=21)
+    built, senses, decodes = [], [], []
+    matrices = PacketChannel.matrices
+
+    def counted_matrices(self, ores, users):
+        built.append(self)
+        return matrices(self, ores, users)
+
+    def counting(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    monkeypatch.setattr(PacketChannel, "matrices", counted_matrices)
+    monkeypatch.setattr("jcas.joint.sense", counting(sense, senses))
+    monkeypatch.setattr("jcas.joint.mpa_decode", counting(mpa_decode, decodes))
+    trace = runner.run()
+    data_packets = sum(not p.pilot for p in trace.packets)
+    assert len(senses) > cfg.n_packets  # self-iterations restack the window
+    assert len(decodes) > data_packets  # and re-decodes happened
+    assert len(built) == cfg.n_packets
+    assert len({id(ch) for ch in built}) == cfg.n_packets
+
+
+def test_record_keeps_lifted_rows_across_decodes(links, truth, codebook, prior):
+    """A new decode keeps the rows (they depend on the channel only); each
+    ore_mode has its own set."""
+    sigma2 = noise_sigma(10.0, codebook)
+    records = []
+    for k in range(1, 4):
+        ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
+        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+    sense(records, codebook, prior)
+    kept = [rec._rows["user_first"] for rec in records]
+    records[1].symbol_indices = np.zeros_like(records[1].symbol_indices)
+    sense(records, codebook, prior)
+    assert all(rec._rows["user_first"] is k for rec, k in zip(records, kept))
+    sense(records, codebook, prior, ore_mode="all_ores")
+    for rec in records:
+        assert set(rec._rows) == {"user_first", "all_ores"}
+        ores, users = _stacking_pairs(codebook, "all_ores")
+        a = rec.channel.matrices(ores, users)
+        assert np.array_equal(rec._rows["all_ores"], np.stack([a.real, a.imag]))

@@ -1,4 +1,4 @@
-"""Write the outputs of five fixed reference sweeps, for byte comparison.
+"""Write the outputs of six fixed reference sweeps, for byte comparison.
 
     PYTHONPATH=src python tools/reference_outputs.py OUT
 
@@ -15,8 +15,10 @@ serves any two checkouts; compare the two trees:
 Together the configs cover the closed loop's paths: an SNR sweep on 16
 antennas (A), a crowded book with heavy momentum (B), momentum with deep
 feedback, self-iteration and every ORE stacked (D), a window shorter than
-the feedback depth with two pilots and momentum (E), and the genie decoder
-(F). Report only: nothing here asserts.
+the feedback depth with two pilots and momentum (E), the genie decoder
+(F), and frames of only max d_f slots (G), where most estimates flag an ORE
+unobserved and sense stacks a masked subset of the rows. Report only:
+nothing here asserts.
 """
 
 import os
@@ -54,6 +56,10 @@ CONFIGS = {
     "F": ExperimentConfig(
         sweep="packets", values=(10,), trials=2, seed=6, n_antennas=4,
         joint=JointConfig(n_f=3, n_b=2, k_s=2, ebn0_db=4.0, decoder="genie"),
+    ),
+    "G": ExperimentConfig(
+        sweep="packets", values=(10,), trials=2, seed=7, n_antennas=4,
+        joint=JointConfig(n_slots=3, n_f=4, n_b=1, k_s=2, ebn0_db=6.0),
     ),
 }
 
