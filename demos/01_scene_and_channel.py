@@ -10,11 +10,11 @@ import numpy as np
 
 from jcas.channel import (
     OreGrid,
+    PacketChannel,
     calibrate_links,
     composite_channel,
     los_links,
     random_binary_pattern,
-    scatter_rows,
 )
 from jcas.harness import default_geometry
 from jcas.scene import RoomSpec, random_scene
@@ -38,14 +38,15 @@ print(f"|direct+surface| RMS: {np.sqrt(np.mean(abs(h_empty) ** 2)):.3f}")
 print(f"|scattered|      RMS: {np.sqrt(np.mean(abs(scatter) ** 2)):.3f}")
 
 # the scattered part is exactly linear in x: doubling the scene doubles it
-s1 = scatter_rows(links, irs, truth.values, r=0)
-s2 = scatter_rows(links, irs, 2.0 * truth.values, r=0)
+ch = PacketChannel(links, irs)
+s1 = ch.scatter(truth.values)[0]
+s2 = ch.scatter(2.0 * truth.values)[0]
 print(f"linearity |s(2x) - 2 s(x)|: {np.max(abs(s2 - 2 * s1)):.2e}")
 
 # a different surface pattern gives a different scatter signature -- this
 # per-packet diversity is what lets a stream of packets image the room
 irs2 = random_binary_pattern(geom.irs.shape[0], packet=1, seed=0)
-s_alt = scatter_rows(links, irs2, truth.values, r=0)
+s_alt = PacketChannel(links, irs2).scatter(truth.values)[0]
 corr = abs(np.vdot(s1.ravel(), s_alt.ravel())) / (
     np.linalg.norm(s1) * np.linalg.norm(s_alt)
 )

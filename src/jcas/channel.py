@@ -32,7 +32,6 @@ __all__ = [
     "random_binary_pattern",
     "PacketChannel",
     "composite_channel",
-    "scatter_rows",
     "measurement_matrix",
     "save_geometry",
     "load_geometry",
@@ -63,10 +62,6 @@ class Geometry:
     @property
     def n_antennas(self):
         return self.ap.shape[0]
-
-    @property
-    def n_irs(self):
-        return self.irs.shape[0]
 
 
 @dataclass
@@ -196,17 +191,16 @@ def _irs_links(ap, irs, vox, freqs):
     return _IRS_LINKS[key]
 
 
-def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid, d_min=None) -> LinkSet:
+def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid) -> LinkSet:
     """Synthesize the five LOS sub-channels for every ORE.
 
-    Device-to-device links (user-AP, user-IRS, IRS-AP) shorter than d_min
-    (default: one voxel diagonal) are rejected as degenerate. Links touching
-    voxel centers use a looser floor of a quarter of the smallest voxel edge,
+    Device-to-device links (user-AP, user-IRS, IRS-AP) no longer than one
+    voxel diagonal (d_min) are rejected as degenerate. Links touching voxel
+    centers use a looser floor of a quarter of the smallest voxel edge,
     since no device can be a full voxel diagonal away from every voxel center.
     h_s1 and h_s2 are the room's shared read-only arrays (see _irs_links).
     """
-    if d_min is None:
-        d_min = float(np.linalg.norm(spec.voxel_dims))
+    d_min = float(np.linalg.norm(spec.voxel_dims))
     d_min_vox = min(spec.voxel_dims) / 4.0
     for pts, name in ((geom.users, "user"), (geom.ap, "AP"), (geom.irs, "IRS")):
         _check_inside(pts, spec.room_dims, name)
@@ -232,26 +226,26 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid, d_min=None) -> Link
     return LinkSet(freqs, h_los, h_irs1, h_s1, h_s2, h_s3)
 
 
-def calibrate_links(
-    links: LinkSet,
-    reference: IrsPattern,
-    target_los=1.0,
-    target_irs=0.3,
-    target_scatter=0.3,
-    expected_scatterers=8,
-    mean_coefficient=0.5,
-) -> LinkSet:
+_TARGET_LOS = 1.0
+_TARGET_IRS = 0.3
+_TARGET_SCATTER = 0.3
+_MEAN_COEFFICIENT = 0.5
+
+
+def calibrate_links(links: LinkSet, reference: IrsPattern, expected_scatterers=8) -> LinkSet:
     """Rescale the sub-channels to workable relative magnitudes.
 
     Raw free-space products put the scattered path a hundred dB or more
     below the direct path, which makes both decoding calibration and sensing
     numerically vacuous. This keeps every distance/frequency ratio intact and
-    applies one global scale per path: the LOS part to RMS target_los, the
-    direct IRS path to RMS target_irs, and the scattered path so a typical
-    scene (expected_scatterers voxels of mean coefficient) gives entries of
-    RMS target_scatter. h_s1 is shared by both IRS paths and is left alone;
-    h_irs1 and h_s3 carry the path scales. The result shares links' h_s1 and
-    h_s2 arrays (the room's read-only IRS links from los_links), uncopied.
+    applies one global scale per path, under the reference IRS pattern: the
+    LOS part to RMS _TARGET_LOS (1.0), the direct IRS path to RMS _TARGET_IRS
+    (0.3), and the scattered path so a typical scene (expected_scatterers
+    voxels of coefficient _MEAN_COEFFICIENT, 0.5) gives entries of RMS
+    _TARGET_SCATTER (0.3). h_s1 is shared by both IRS paths and is left
+    alone; h_irs1 and h_s3 carry the path scales. The result shares links'
+    h_s1 and h_s2 arrays (the room's read-only IRS links from los_links),
+    uncopied.
     """
     g_los = np.sqrt(np.mean(np.abs(links.h_los) ** 2))
     ch = PacketChannel(links, reference)
@@ -259,14 +253,14 @@ def calibrate_links(
     # RMS of a single voxel's contribution to a scatter-channel entry
     ores, users = np.divmod(np.arange(links.n_ores * links.n_users), links.n_users)
     g_vox = np.sqrt(np.mean(np.abs(ch.matrices(ores, users)) ** 2))
-    g_scatter = mean_coefficient * np.sqrt(expected_scatterers) * g_vox
+    g_scatter = _MEAN_COEFFICIENT * np.sqrt(expected_scatterers) * g_vox
     return LinkSet(
         links.frequencies,
-        links.h_los * (target_los / g_los),
-        links.h_irs1 * (target_irs / g_irs),
+        links.h_los * (_TARGET_LOS / g_los),
+        links.h_irs1 * (_TARGET_IRS / g_irs),
         links.h_s1,
         links.h_s2,
-        links.h_s3 * (target_scatter / g_scatter),
+        links.h_s3 * (_TARGET_SCATTER / g_scatter),
     )
 
 
@@ -306,11 +300,6 @@ class PacketChannel:
         matrices(ores, users)[i] @ x equals scatter(x)[ores[i], users[i]].
         """
         return self.g[ores] * self.links.h_s3[ores, users][:, None, :]
-
-
-def scatter_rows(links: LinkSet, irs: IrsPattern, x, r: int):
-    """Scattered channel rows H_r^s: (N_u, N_R), row nu = x^T diag(h_s3) h_s2 Theta h_s1."""
-    return PacketChannel(links, irs).scatter(x)[r]
 
 
 def composite_channel(links: LinkSet, irs: IrsPattern, x, r: int):

@@ -56,7 +56,6 @@ class PriorParams:
     theta: float = 0.5
     sigma_x: float = 0.1
     sigma_w: float = 0.0
-    renormalized: bool = False  # renormalize the truncated Gaussian branch
     alpha: float = field(init=False, repr=False, compare=False)
     spike_mass: float = field(init=False, repr=False, compare=False)
 
@@ -105,11 +104,8 @@ def g_in(v_hat, sigma_v, q: PriorParams):
 
     x_g = (q.sigma_x * v + sv * q.theta) / (q.sigma_x + sv)
     x_c = np.clip(x_g, 0.0, 1.0)
-    log_gauss_mass = np.log(q.lam)
-    if q.renormalized:
-        log_gauss_mass -= np.log1p(-q.alpha / q.lam)
     f_gauss = (
-        log_gauss_mass
+        np.log(q.lam)
         - _LOG_SQRT_2PI
         - 0.5 * np.log(q.sigma_x)
         - (x_c - q.theta) ** 2 / (2 * q.sigma_x)

@@ -23,7 +23,6 @@ of workers.
 import configparser
 import csv
 import ctypes
-import io
 import itertools
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -33,7 +32,6 @@ import numpy as np
 
 from .channel import (
     Geometry,
-    LinkSet,
     OreGrid,
     calibrate_links,
     los_links,
@@ -43,7 +41,7 @@ from .channel import (
 from .gamp import GampDivergence, PriorParams
 from .joint import JointConfig, JointRunner, RunTrace
 from .scene import RoomSpec, ScattererField, load_scene, random_scene, save_scene
-from .scma import Codebook, build_codebook, load_codebook
+from .scma import build_codebook, load_codebook
 
 __all__ = [
     "ExperimentConfig",
@@ -65,6 +63,7 @@ _SWEEP_AXES = ("ebn0_db", "n_users", "mu", "packets")
 # ExperimentConfig fields read from [experiment]; the others but joint are
 # [scenario] keys
 _EXPERIMENT_KEYS = ("sweep", "values", "trials", "seed", "output", "record_timing")
+_IRS_SIDE = 20  # side of default_geometry's square IRS panel, in elements
 
 
 class SweepError(RuntimeError):
@@ -104,6 +103,19 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.sparsity < 1:
             raise ValueError("sparsity must lie in (0, 1)")
+        for name in ("n_users", "n_ores", "n_antennas"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.d_v <= self.n_ores:
+            raise ValueError(f"d_v must lie in [1, n_ores={self.n_ores}], got {self.d_v}")
+        if self.m < 2:
+            raise ValueError(f"m must be >= 2 codewords per user, got {self.m}")
+        try:
+            RoomSpec(self.room, self.voxel)
+        except ValueError as exc:
+            raise ValueError(f"room {self.room} and voxel {self.voxel}: {exc}") from exc
+        if self.sweep == "n_users" and min(self.values) < 1:
+            raise ValueError(f"n_users sweep values must be >= 1, got {self.values}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -156,9 +168,10 @@ def child_seed(master: int, value, trial: int) -> int:
     return int(key.generate_state(1, np.uint64)[0])
 
 
-def default_geometry(n_users, n_antennas, room, seed, n_irs_side=20) -> Geometry:
-    """AP line array near one wall, IRS panel on the opposite wall, users
-    scattered uniformly over the central floor area at 1 m height."""
+def default_geometry(n_users, n_antennas, room, seed) -> Geometry:
+    """AP line array near one wall, square IRS panel of _IRS_SIDE^2 elements
+    on the opposite wall, users scattered uniformly over the central floor
+    area at 1 m height."""
     lx, ly, lz = room
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 17)))
     users = np.column_stack(
@@ -175,13 +188,13 @@ def default_geometry(n_users, n_antennas, room, seed, n_irs_side=20) -> Geometry
             np.full(n_antennas, 0.75 * lz),
         ]
     )
-    ii, jj = np.meshgrid(np.arange(n_irs_side), np.arange(n_irs_side), indexing="ij")
+    ii, jj = np.meshgrid(np.arange(_IRS_SIDE), np.arange(_IRS_SIDE), indexing="ij")
     span = 0.5 * min(ly, lz)
     y0, z0 = (ly - span) / 2, (lz - span) / 2
-    step = span / max(n_irs_side - 1, 1)
+    step = span / (_IRS_SIDE - 1)
     irs = np.column_stack(
         [
-            np.full(n_irs_side**2, 0.9875 * lx),
+            np.full(_IRS_SIDE**2, 0.9875 * lx),
             y0 + ii.ravel() * step,
             z0 + jj.ravel() * step,
         ]

@@ -8,7 +8,6 @@ ser_union_bound: Monte Carlo union bound on the joint-ML decoding error,
 operating_point: pick the user count minimizing a weighted MSE/SER cost.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,10 @@ __all__ = [
     "ser_union_bound",
     "operating_point",
 ]
+
+# ser_union_bound's pair budget: more pairs than this are subsampled, so the
+# (P, R, N_u) difference array stays small
+_MAX_PAIR_TERMS = 1_000_000
 
 
 def mse(x_hat, x) -> float:
@@ -85,8 +88,6 @@ def ser_union_bound(
     sigma2: float,
     samples: int = 200,
     d_interference: float = 0.0,
-    convention: str = "per_user",
-    max_pair_terms: int = 1_000_000,
     seed: int = 0,
 ) -> float:
     """Union bound on the joint-ML decoding error rate, Monte Carlo over channels.
@@ -99,52 +100,38 @@ def ser_union_bound(
     channel-mismatch interference of variance d_interference; the bound is
     the pair sum averaged over combinations and channel draws.
 
-    convention "per_user" enumerates M^N_u combinations (each user picks
-    among its own M codewords); "pooled" enumerates (N_u*M)^N_u with every
-    user picking from the pooled codeword set of all users. When the pair
-    count exceeds max_pair_terms, pairs are subsampled uniformly without
+    The M^N_u combinations are those of each user picking among its own M
+    codewords. When the pair count exceeds _MAX_PAIR_TERMS (a 6-user, M=4
+    book has about 1.7e7 pairs), pairs are subsampled uniformly without
     replacement and the sum is rescaled.
     """
     if samples < 100:
         raise ValueError("sample budget too small (< 100)")
     if sigma2 + d_interference <= 0:
         return 0.0
-    if convention not in ("per_user", "pooled"):
-        raise ValueError(f"unknown convention {convention!r}")
 
     n_u, m, r = cb.n_users, cb.m, cb.n_ores
-    if convention == "per_user":
-        # columns[u]: user u's own codewords, (R, M)
-        columns = [np.asarray(cm) for cm in cb.matrices]
-        per_user = m
-    else:
-        pooled = np.concatenate(cb.matrices, axis=1)  # (R, N_u*M)
-        columns = [pooled] * n_u
-        per_user = n_u * m
-
-    n_combo = per_user**n_u
+    n_combo = m**n_u
     n_pairs = n_combo * (n_combo - 1)
-    if n_pairs > max_pair_terms:
+    if n_pairs > _MAX_PAIR_TERMS:
         rng_p = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        flat = rng_p.choice(n_pairs, size=max_pair_terms, replace=False)
+        flat = rng_p.choice(n_pairs, size=_MAX_PAIR_TERMS, replace=False)
         a_idx, off = np.divmod(flat, n_combo - 1)
         b_idx = off + (off >= a_idx)  # skip the diagonal
-        scale = n_pairs / max_pair_terms
+        scale = n_pairs / _MAX_PAIR_TERMS
     else:
         a_idx, b_idx = np.divmod(np.arange(n_pairs), n_combo - 1)
         b_idx = b_idx + (b_idx >= a_idx)
         scale = 1.0
 
     def digits(idx):
-        return (
-            idx[:, None] // (per_user ** np.arange(n_u - 1, -1, -1))[None, :]
-        ) % per_user
+        return (idx[:, None] // (m ** np.arange(n_u - 1, -1, -1))[None, :]) % m
 
     da, db = digits(a_idx), digits(b_idx)
     # per-pair codeword difference, (P, R, N_u)
     diff = np.empty((len(a_idx), r, n_u), dtype=complex)
-    for u in range(n_u):
-        diff[:, :, u] = columns[u][:, da[:, u]].T - columns[u][:, db[:, u]].T
+    for u, cm in enumerate(cb.matrices):
+        diff[:, :, u] = cm[:, da[:, u]].T - cm[:, db[:, u]].T
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     denom = 2.0 * (sigma2 + d_interference)

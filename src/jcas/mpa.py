@@ -27,7 +27,6 @@ degrades gracefully to hard nearest-combination decisions instead of
 overflowing. Messages are floored at 1e-300 before each normalization.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -15,7 +15,6 @@ __all__ = [
     "ScattererField",
     "voxel_center",
     "voxel_centers",
-    "nearest_voxel",
     "random_scene",
     "save_scene",
     "load_scene",
@@ -90,18 +89,6 @@ def voxel_centers(spec: RoomSpec):
     )
 
 
-def nearest_voxel(spec: RoomSpec, point):
-    """Index of the voxel whose cube contains (or is nearest to) the point."""
-    p = np.asarray(point, dtype=float)
-    nx, ny, nz = spec.grid_shape
-    idx = []
-    for coord, l, nmax in zip(p, spec.voxel_dims, (nx, ny, nz)):
-        i = int(np.floor(coord / l))
-        idx.append(min(max(i, 0), nmax - 1))
-    ix, iy, iz = idx
-    return ix + nx * (iy + ny * iz)
-
-
 @dataclass
 class ScattererField:
     """Per-voxel scattering coefficients x with 0 <= x <= 1."""
@@ -118,10 +105,6 @@ class ScattererField:
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("scattering coefficients must lie in [0, 1]")
         self.values = v
-
-    @property
-    def nonzero_count(self):
-        return int(np.count_nonzero(self.values))
 
 
 def random_scene(spec: RoomSpec, sparsity: float, seed=None) -> ScattererField:

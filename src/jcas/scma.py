@@ -1,4 +1,4 @@
-"""SCMA codebooks, encoder and the decoder factor graph.
+"""SCMA codebooks and the decoder factor graph.
 
 Each user owns an R x M matrix of sparse codewords: all M columns share the
 same d_v nonzero rows (the user's OREs). Codebook *design* is treated as
@@ -19,8 +19,6 @@ __all__ = [
     "build_codebook",
     "default_codebook",
     "validate_codebook",
-    "encode",
-    "bits_to_index",
     "factor_graph",
     "save_codebook",
     "load_codebook",
@@ -35,9 +33,9 @@ class CodebookError(ValueError):
 class Codebook:
     """Per-user sparse codeword matrices.
 
-    matrices[u] is the (R, M) complex codeword matrix of user u. d_f is the
-    common per-ORE user count when d_f * R = d_v * N_u admits one, else None
-    (irregular book with balanced ORE loads).
+    matrices[u] is the (R, M) complex codeword matrix of user u. max_d_f is
+    the largest per-ORE user count (the common d_f of a regular book, where
+    d_f * R = d_v * N_u).
 
     A book is immutable: matrices is a tuple of read-only copies of the
     inputs, so the factor graph (validated and built on first use, see
@@ -82,18 +80,8 @@ class Codebook:
         return len(self.support(0))
 
     @property
-    def d_f(self):
-        """Common per-ORE user count, or None for an irregular book."""
-        loads = self._ore_loads()
-        return int(loads[0]) if len(set(loads)) == 1 else None
-
-    @property
     def max_d_f(self):
         return int(max(self._ore_loads()))
-
-    @property
-    def overloading_factor(self):
-        return self.n_users / self.n_ores
 
     def _ore_loads(self):
         loads = [0] * self.n_ores
@@ -156,6 +144,8 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
     """
     if d_v > n_ores:
         raise CodebookError("d_v cannot exceed the number of OREs")
+    if m < 2:
+        raise CodebookError(f"need M >= 2 codewords per user, got {m}")
     supports = _balanced_supports(n_users, n_ores, d_v)
     # per-ORE rotation slot for each of its users
     rot_index = {}
@@ -219,25 +209,6 @@ def validate_codebook(cb: Codebook):
                 raise CodebookError(
                     f"ORE {r}: load {L} outside balanced range [{lo}, {hi}]"
                 )
-
-
-def encode(cb: Codebook, user: int, symbol_index: int):
-    """Codeword column symbol_index of the given user."""
-    if not 0 <= user < cb.n_users:
-        raise IndexError(f"user index {user} out of range")
-    if not 0 <= symbol_index < cb.m:
-        raise IndexError(f"symbol index {symbol_index} out of range [0, {cb.m})")
-    return cb.matrices[user][:, symbol_index].copy()
-
-
-def bits_to_index(bits) -> int:
-    """Big-endian binary bit block -> symbol index."""
-    out = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b}")
-        out = (out << 1) | int(b)
-    return out
 
 
 def factor_graph(cb: Codebook) -> FactorGraph:

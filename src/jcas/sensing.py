@@ -197,7 +197,7 @@ def sense(
     yv = np.concatenate([h_tilde.real, h_tilde.imag])
     # lifted real parts carry half the complex estimate variance each
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)
-    q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w, prior.renormalized)
+    q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w)
     # stop at the estimation-noise floor: the residual cannot fall below the
     # noise energy in the stacked rows; where model error from wrong decodes
     # keeps it above even that, gamp_solve's x-change rule ends the run

@@ -54,16 +54,16 @@ class ReceivedFrame:
             raise ValueError("received frame contains non-finite entries")
 
 
-def noise_sigma(ebn0_db: float, cb: Codebook, ref_gain: float = 1.0) -> float:
+def noise_sigma(ebn0_db: float, cb: Codebook) -> float:
     """Noise variance (total, per complex sample) for a target Eb/N0 in dB.
 
     E_b is the average codeword energy over all users and symbols divided by
-    log2(M) bits per symbol; ref_gain scales it to the receive side (1.0 for
-    a unit-gain reference channel). sigma2 = ref_gain * E_b / 10^(ebn0/10).
+    log2(M) bits per symbol, taken at the transmitter (a unit-gain reference
+    channel). sigma2 = E_b / 10^(ebn0/10).
     """
     energies = [np.mean(np.sum(np.abs(m) ** 2, axis=0)) for m in cb.matrices]
     eb = np.mean(energies) / np.log2(cb.m)
-    return float(ref_gain * eb * 10.0 ** (-ebn0_db / 10.0))
+    return float(eb * 10.0 ** (-ebn0_db / 10.0))
 
 
 def random_frame(n_slots: int, cb: Codebook, packet: int, seed) -> Frame:

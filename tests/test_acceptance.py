@@ -12,12 +12,12 @@ import pytest
 
 from jcas.channel import (
     OreGrid,
+    PacketChannel,
     calibrate_links,
     composite_channel,
     los_links,
     measurement_matrix,
     random_binary_pattern,
-    scatter_rows,
 )
 from jcas.gamp import PriorParams, g_in, gamp_solve
 from jcas.harness import ExperimentConfig, build_system, default_geometry, run_points
@@ -293,9 +293,10 @@ def test_criterion_7_noiseless_consistency():
         x2 = rng.uniform(0, 1, spec.n_voxels)
         a = rng.uniform(0.1, 3.0)
         r = int(rng.integers(0, 4))
-        s1 = scatter_rows(links, irs, x1, r)
-        s2 = scatter_rows(links, irs, x2, r)
-        s_lin = scatter_rows(links, irs, a * x1 + x2, r)
+        ch = PacketChannel(links, irs)
+        s1 = ch.scatter(x1)[r]
+        s2 = ch.scatter(x2)[r]
+        s_lin = ch.scatter(a * x1 + x2)[r]
         scale = max(np.max(np.abs(s_lin)), 1e-30)
         worst = max(worst, np.max(np.abs(s_lin - a * s1 - s2)) / scale)
         # measurement matrix realizes the same linear map, row by row

@@ -19,7 +19,6 @@ from jcas.channel import (
     measurement_matrix,
     random_binary_pattern,
     save_geometry,
-    scatter_rows,
 )
 from jcas.harness import ExperimentConfig, build_system, default_geometry
 from jcas.scene import RoomSpec, voxel_centers
@@ -103,7 +102,7 @@ def test_measurement_matrix_matches_scatter_rows(links, room):
     x = rng.uniform(0, 1, room.n_voxels)
     irs = random_binary_pattern(400, 5, 7)
     for r in (0, 3):
-        rows = scatter_rows(links, irs, x, r)
+        rows = PacketChannel(links, irs).scatter(x)[r]
         for nu in (0, 4):
             a = measurement_matrix(links, irs, nu, r)
             assert np.allclose(a @ x, rows[nu], rtol=1e-10)
@@ -114,9 +113,10 @@ def test_scatter_rows_linear_in_x(links, room):
     x1 = rng.uniform(0, 1, room.n_voxels)
     x2 = rng.uniform(0, 1, room.n_voxels)
     irs = random_binary_pattern(400, 1, 7)
-    s1 = scatter_rows(links, irs, x1, 0)
-    s2 = scatter_rows(links, irs, x2, 0)
-    s12 = scatter_rows(links, irs, np.clip(0.5 * x1 + 0.5 * x2, 0, 1), 0)
+    ch = PacketChannel(links, irs)
+    s1 = ch.scatter(x1)[0]
+    s2 = ch.scatter(x2)[0]
+    s12 = ch.scatter(np.clip(0.5 * x1 + 0.5 * x2, 0, 1))[0]
     assert np.allclose(s12, 0.5 * s1 + 0.5 * s2, rtol=1e-10)
 
 
@@ -132,7 +132,7 @@ def test_scatter_row_direct_oracle(links, room):
         @ np.diag(irs.coefficients)
         @ links.h_s1[r]
     )
-    assert np.allclose(scatter_rows(links, irs, x, r)[nu], slow, rtol=1e-10)
+    assert np.allclose(PacketChannel(links, irs).scatter(x)[r, nu], slow, rtol=1e-10)
 
 
 def test_composite_channel_empty_scene_is_los_plus_irs(links, room):
@@ -148,7 +148,7 @@ def test_static_channel_plus_scatter_is_composite_bit_for_bit(links, truth):
     assert static.shape == (links.n_ores, links.n_users, links.n_antennas)
     for r in range(links.n_ores):
         assert np.array_equal(
-            static[r] + scatter_rows(links, irs, truth.values, r),
+            static[r] + PacketChannel(links, irs).scatter(truth.values)[r],
             composite_channel(links, irs, truth.values, r),
         )
 

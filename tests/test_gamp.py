@@ -85,7 +85,6 @@ def test_g_in_matches_grid_search():
     qs = [
         PriorParams(lam=0.05, theta=0.5, sigma_x=0.1),
         PriorParams(lam=0.3, theta=0.2, sigma_x=0.01),
-        PriorParams(lam=0.05, theta=0.5, sigma_x=0.1, renormalized=True),
     ]
     for q in qs:
         v = rng.uniform(-1.5, 2.5, 300)

@@ -61,14 +61,32 @@ def test_config_parsing(small_cfg, tmp_path):
     assert not small_cfg.record_timing
 
 
-def test_config_validation(tmp_path):
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         ExperimentConfig(sweep="bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(values=())
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    # scenario values that would fail every point fail here, naming the field
+    for kw, where in (
+        ({"m": 0}, "^m must"),
+        ({"m": 1}, "^m must"),
+        ({"n_users": 0}, "^n_users must"),
+        ({"n_ores": 0, "d_v": 0}, "^n_ores must"),
+        ({"n_antennas": 0}, "^n_antennas must"),
+        ({"d_v": 0}, "^d_v must"),
+        ({"d_v": 5}, "^d_v must"),
+        ({"room": (4.0, 4.0)}, r"^room \(4.0, 4.0\) and voxel"),
+        ({"voxel": (0.3, 0.5, 0.5)}, r"^room .* and voxel \(0.3, 0.5, 0.5\)"),
+        ({"sweep": "n_users", "values": (6, 0)}, "^n_users sweep values"),
+    ):
+        with pytest.raises(ValueError, match=where):
+            ExperimentConfig(**kw)
     ini = tmp_path / "bad.ini"
+    ini.write_text("[scenario]\nm = 0\n")
+    assert main(["run", str(ini)]) == 1
+    assert "config error: m must be >= 2" in capsys.readouterr().err
     for text, where in (
         ("[joint]\nnot_a_key = 1\n", r"\[joint\] key 'not_a_key'"),
         ("[experiment]\nvaluess = 0 5\n", r"\[experiment\] key 'valuess'"),
@@ -138,13 +156,18 @@ def _joint_configs(draw):
 
 @st.composite
 def _experiment_configs(draw):
+    sweep = draw(st.sampled_from(["ebn0_db", "n_users", "mu", "packets"]))
     # from_file reads integral values as int, so floats are drawn non-integral
     value = st.integers(-100, 1000) | st.floats(-100.0, 100.0).filter(
         lambda v: not v.is_integer()
     )
-    lengths = st.tuples(*[st.floats(0.01, 50.0)] * 3)
+    if sweep == "n_users":
+        value = value.filter(lambda v: v >= 1)
+    n_ores = draw(_counts)
+    voxel = draw(st.tuples(*[st.floats(0.01, 5.0)] * 3))
+    cells = draw(st.tuples(*[st.integers(1, 10)] * 3))
     return ExperimentConfig(
-        sweep=draw(st.sampled_from(["ebn0_db", "n_users", "mu", "packets"])),
+        sweep=sweep,
         values=tuple(draw(st.lists(value, min_size=1, max_size=5))),
         trials=draw(st.integers(1, 100)),
         seed=draw(st.integers(-(2**31), 2**31)),
@@ -154,13 +177,13 @@ def _experiment_configs(draw):
         geometry=draw(st.none() | _paths),
         codebook=draw(st.none() | _paths),
         n_users=draw(_counts),
-        n_ores=draw(_counts),
-        d_v=draw(_counts),
-        m=draw(_counts),
+        n_ores=n_ores,
+        d_v=draw(st.integers(1, n_ores)),
+        m=draw(st.integers(2, 64)),
         n_antennas=draw(_counts),
         sparsity=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        room=draw(lengths),
-        voxel=draw(lengths),
+        room=tuple(l * k for l, k in zip(voxel, cells)),
+        voxel=voxel,
         joint=draw(_joint_configs()),
     )
 

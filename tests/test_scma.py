@@ -4,10 +4,8 @@ import pytest
 from jcas.scma import (
     Codebook,
     CodebookError,
-    bits_to_index,
     build_codebook,
     default_codebook,
-    encode,
     factor_graph,
     load_codebook,
     save_codebook,
@@ -21,8 +19,8 @@ def test_default_codebook_structure():
     assert cb.n_ores == 4
     assert cb.m == 4
     assert cb.d_v == 2
-    assert cb.d_f == 3  # d_f * R = d_v * N_u -> 3 * 4 = 2 * 6
-    assert np.isclose(cb.overloading_factor, 1.5)
+    # d_f * R = d_v * N_u -> 3 * 4 = 2 * 6
+    assert [len(users) for users in factor_graph(cb).lambda_r] == [3, 3, 3, 3]
 
 
 def test_default_codebook_unit_energy():
@@ -51,8 +49,7 @@ def test_balanced_irregular_book():
     # d_v * N_u = 2 * 12 = 24, R = 7 -> no integer d_f; loads must be 3 or 4
     cb = build_codebook(12, 7, m=4, d_v=2)
     loads = cb._ore_loads()
-    assert set(loads) <= {3, 4}
-    assert cb.d_f is None
+    assert set(loads) == {3, 4}
     assert cb.max_d_f == 4
     validate_codebook(cb)
 
@@ -66,6 +63,12 @@ def test_support_reuse_allowed_when_needed():
 def test_build_rejects_impossible_dv():
     with pytest.raises(CodebookError):
         build_codebook(4, 3, m=4, d_v=5)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_build_rejects_fewer_than_two_codewords(m):
+    with pytest.raises(CodebookError, match="M >= 2"):
+        build_codebook(6, 4, m=m, d_v=2)
 
 
 def test_validate_catches_support_mismatch():
@@ -84,25 +87,6 @@ def test_validate_catches_unbalanced_loads():
     mat[1] = [amp, -amp]
     with pytest.raises(CodebookError):
         validate_codebook(Codebook([mat, mat * 1j]))
-
-
-def test_encode_returns_column():
-    cb = default_codebook()
-    cw = encode(cb, 2, 3)
-    assert np.array_equal(cw, cb.matrices[2][:, 3])
-    with pytest.raises(IndexError):
-        encode(cb, 6, 0)
-    with pytest.raises(IndexError):
-        encode(cb, 0, 4)
-
-
-def test_bits_to_index_big_endian():
-    assert bits_to_index([0, 0]) == 0
-    assert bits_to_index([0, 1]) == 1
-    assert bits_to_index([1, 0]) == 2
-    assert bits_to_index([1, 1, 0]) == 6
-    with pytest.raises(ValueError):
-        bits_to_index([0, 2])
 
 
 def test_factor_graph_adjacency_consistent():

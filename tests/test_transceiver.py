@@ -22,7 +22,6 @@ def test_noise_sigma_scaling():
     cb = default_codebook()
     s0 = noise_sigma(0.0, cb)
     assert np.isclose(noise_sigma(10.0, cb), s0 / 10.0)
-    assert np.isclose(noise_sigma(0.0, cb, ref_gain=2.0), 2 * s0)
 
 
 def test_random_frame_keyed_by_seed_and_packet():
