@@ -23,16 +23,16 @@ frame = random_frame(2000, cb, packet=0, seed=2)
 sigma2 = noise_sigma(10.0, cb)
 rx = transmit(frame, h, cb, sigma2, seed=3)
 
-mp = mpa_decode(rx.y, h, cb, sigma2, k_it=10)
-ml = ml_decode(rx.y, h, cb)
+mp = mpa_decode(rx, h, cb, sigma2, k_it=10)
+ml = ml_decode(rx, h, cb)
 agree = float(np.mean(mp.indices == ml.indices))
 print(f"\n10 dB, 2000 slots: MPA vs exhaustive ML agreement {agree:.4f}")
-print(f"  MPA SER {ser(mp.indices, frame.symbol_indices):.4f}, "
-      f"ML SER {ser(ml.indices, frame.symbol_indices):.4f}")
+print(f"  MPA SER {ser(mp.indices, frame):.4f}, "
+      f"ML SER {ser(ml.indices, frame):.4f}")
 
 print("\nSNR sweep (message passing):")
 for db in (0.0, 4.0, 8.0, 12.0):
     s2 = noise_sigma(db, cb)
     r = transmit(frame, h, cb, s2, seed=4)
-    d = mpa_decode(r.y, h, cb, s2, k_it=10)
-    print(f"  {db:4.0f} dB  SER {ser(d.indices, frame.symbol_indices):.4f}")
+    d = mpa_decode(r, h, cb, s2, k_it=10)
+    print(f"  {db:4.0f} dB  SER {ser(d.indices, frame):.4f}")

@@ -36,7 +36,7 @@ def make_packet(k):
     ch = PacketChannel(links, random_binary_pattern(geom.irs.shape[0], k, 3))
     frame = random_frame(64, cb, k, 3)
     rx = transmit(frame, ch.channel(truth.values), cb, sigma2, seed=(5, k))
-    return PacketRecord(rx.y, frame.symbol_indices, ch)
+    return PacketRecord(rx, frame, ch)
 
 print("window sweep (pilot symbols, 10 dB):")
 records = []

@@ -26,7 +26,7 @@ sigma2 = noise_sigma(6.0, cb)
 bound = ser_union_bound(cb, lambda rng: h, sigma2, samples=200)
 frame = random_frame(100_000, cb, 0, 1)
 rx = transmit(frame, h, cb, sigma2, seed=2)
-measured = ser(ml_decode(rx.y, h, cb).indices, frame.symbol_indices)
+measured = ser(ml_decode(rx, h, cb).indices, frame)
 print(f"\n2-user toy at 6 dB: union bound {bound:.5f} >= measured {measured:.5f}")
 
 # residual channel-estimation error enters the bound as extra interference

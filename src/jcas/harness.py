@@ -64,6 +64,11 @@ _SWEEP_AXES = ("ebn0_db", "n_users", "mu", "packets")
 # [scenario] keys
 _EXPERIMENT_KEYS = ("sweep", "values", "trials", "seed", "output", "record_timing")
 _IRS_SIDE = 20  # side of default_geometry's square IRS panel, in elements
+# the PacketTrace fields trace.csv writes after (axis, value, trial), in
+# column order; wall_ms follows them under record_timing
+_TRACE_FIELDS = (
+    "packet", "mse", "ser", "ser_post_feedback", "gate", "ks_used", "diverged",
+)
 
 
 class SweepError(RuntimeError):
@@ -253,16 +258,6 @@ def build_system(cfg: ExperimentConfig, value, trial: int):
     return truth, links, cb, prior, jc
 
 
-def _trace_columns(record_timing):
-    cols = [
-        "axis", "value", "trial", "packet", "mse", "ser",
-        "ser_post_feedback", "gate", "ks_used", "diverged",
-    ]
-    if record_timing:
-        cols.append("wall_ms")
-    return cols
-
-
 def _fmt(v):
     if v is None:
         return ""
@@ -404,7 +399,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     log = log or print
     out = output_dir or os.environ.get("JCAS_OUTPUT_DIR") or cfg.output
     os.makedirs(out, exist_ok=True)
-    tcols = _trace_columns(cfg.record_timing)
+    tfields = _TRACE_FIELDS + (("wall_ms",) if cfg.record_timing else ())
+    tcols = ["axis", "value", "trial", *tfields]
     trace_rows, summary_rows, paths = [], [], []
     failures = []
     results = iter(
@@ -425,15 +421,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
                 log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {error[1]}")
                 continue
             for p in run.packets:
-                row = {
-                    "axis": cfg.sweep, "value": value, "trial": trial,
-                    "packet": p.packet, "mse": p.mse, "ser": p.ser,
-                    "ser_post_feedback": p.ser_post_feedback,
-                    "gate": p.gate, "ks_used": p.ks_used, "diverged": p.diverged,
-                }
-                if cfg.record_timing:
-                    row["wall_ms"] = p.wall_ms
-                trace_rows.append(row)
+                cells = (cfg.sweep, value, trial, *(getattr(p, f) for f in tfields))
+                trace_rows.append(dict(zip(tcols, cells)))
             finals_mse.append(run.packets[-1].mse)
             finals_ser.append(float(np.mean(run.column("ser"))))
             post = [

@@ -8,6 +8,10 @@ self-iteration repeats decode+image within a packet until the estimate
 stops moving; optional feedback re-decodes the previous n_b packets with
 the fresher image after every sensing step and refreshes the window.
 
+Every decode (forward, self-iteration and feedback) is JointRunner._decode:
+the record's received frame against its channel at the current image, or,
+for the genie decoder, at the true scene.
+
 The runner's window is the only per-packet store: a bounded deque of
 (PacketRecord, sent symbol indices, PacketTrace row) entries for the last n_f
 packets.
@@ -15,7 +19,7 @@ packets.
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .scene import ScattererField
 from .sensing import PacketRecord, sense
 from .transceiver import noise_sigma, random_frame, transmit
 
-__all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner", "run_joint"]
+__all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner"]
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,19 @@ class JointRunner:
 
     # -- decoding -----------------------------------------------------------
 
-    def _decode(self, y, h_dec):
-        if self.config.decoder == "ml":
-            return ml_decode(y, h_dec, self.cb)
-        return mpa_decode(y, h_dec, self.cb, self.sigma2, self.config.k_it)
+    def _decode(self, rec: PacketRecord):
+        """Decode rec's received frame against its channel at the current
+        image (the true scene for the genie decoder); the decoded symbol
+        indices replace rec's and are returned."""
+        cfg = self.config
+        x = self.truth.values if cfg.decoder == "genie" else self.x_hat
+        h = rec.channel.channel(x)
+        if cfg.decoder == "ml":
+            decoded = ml_decode(rec.y, h, self.cb)
+        else:
+            decoded = mpa_decode(rec.y, h, self.cb, self.sigma2, cfg.k_it)
+        rec.symbol_indices = decoded.indices
+        return decoded.indices
 
     # -- loop steps --------------------------------------------------------
 
@@ -142,30 +155,24 @@ class JointRunner:
         ch = PacketChannel(
             self.links, random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
         )
-        h_true = ch.channel(self.truth.values)
-        frame = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
-        rx = transmit(
-            frame, h_true, self.cb, self.sigma2,
+        sent = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
+        y = transmit(
+            sent, ch.channel(self.truth.values), self.cb, self.sigma2,
             np.random.SeedSequence((cfg.seed, 2, packet)),
         )
-
+        rec = PacketRecord(y, sent, ch)
+        # pilot symbols are known a priori; nothing to decode
         is_pilot = packet <= cfg.n_pilot
-        if is_pilot:
-            # pilot symbols are known a priori; nothing to decode
-            symbols = frame.symbol_indices
-        else:
-            h_dec = h_true if cfg.decoder == "genie" else ch.channel(self.x_hat)
-            decoded = self._decode(rx.y, h_dec)
-            symbols = decoded.indices
-        rec = PacketRecord(rx.y, symbols, ch)
+        if not is_pilot:
+            self._decode(rec)
         trace = PacketTrace(
             packet,
             mse=np.inf,
-            ser=ser(symbols, frame.symbol_indices),
+            ser=ser(rec.symbol_indices, sent),
             pilot=is_pilot,
             gate=self.gate_open,
         )
-        self.window.append((rec, frame.symbol_indices, trace))
+        self.window.append((rec, sent, trace))
         records = [r for r, _, _ in self.window]
         k_s = 1 if self.gate_open else cfg.k_s
         for it in range(k_s):
@@ -191,10 +198,7 @@ class JointRunner:
                 break
             if not is_pilot and it + 1 < k_s:
                 # re-decode this packet with the fresher image
-                h_dec = ch.channel(self.x_hat)
-                decoded = self._decode(rx.y, h_dec)
-                rec.symbol_indices = decoded.indices
-                trace.ser = ser(decoded.indices, frame.symbol_indices)
+                trace.ser = ser(self._decode(rec), sent)
         trace.mse = mse(self.x_hat, self.truth.values)
         trace.wall_ms = (time.perf_counter() - t0) * 1e3
         self._x_hist.append(self.x_hat)
@@ -218,9 +222,7 @@ class JointRunner:
         for rec, sent, row in list(self.window)[-cfg.n_b - 1 : -1]:
             if row.pilot:
                 continue
-            decoded = self._decode(rec.y, rec.channel.channel(self.x_hat))
-            rec.symbol_indices = decoded.indices
-            row.ser_post_feedback = ser(decoded.indices, sent)
+            row.ser_post_feedback = ser(self._decode(rec), sent)
 
     def run(self) -> RunTrace:
         trace = RunTrace()
@@ -230,10 +232,3 @@ class JointRunner:
         trace.x_final = self.x_hat.copy()
         return trace
 
-
-def run_joint(truth, links, cb, prior, config=None, **overrides) -> RunTrace:
-    """One-call closed-loop run; overrides patch the (default) config."""
-    config = config or JointConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    return JointRunner(truth, links, cb, prior, config).run()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scma import Codebook
+from .scma import Codebook, _combo_digits
 
 __all__ = [
     "mse",
@@ -124,10 +124,7 @@ def ser_union_bound(
         b_idx = b_idx + (b_idx >= a_idx)
         scale = 1.0
 
-    def digits(idx):
-        return (idx[:, None] // (m ** np.arange(n_u - 1, -1, -1))[None, :]) % m
-
-    da, db = digits(a_idx), digits(b_idx)
+    da, db = _combo_digits(a_idx, m, n_u), _combo_digits(b_idx, m, n_u)
     # per-pair codeword difference, (P, R, N_u)
     diff = np.empty((len(a_idx), r, n_u), dtype=complex)
     for u, cm in enumerate(cb.matrices):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scma import Codebook, factor_graph
+from .scma import Codebook, _combo_digits, factor_graph
 
 __all__ = ["DecodeResult", "ml_decode", "mpa_decode", "ser"]
 
@@ -83,8 +83,7 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
     chunk = 1 << 16
     for start in range(0, n_combos, chunk):
         idx = np.arange(start, min(start + chunk, n_combos))
-        # digits of the combo index, user 0 most significant
-        digits = (idx[None, :] // (m ** np.arange(n_u - 1, -1, -1))[:, None]) % m
+        digits = _combo_digits(idx, m, n_u).T
         # noiseless mean per (combo, r, n): sum_u h[r,u,n] * C_u(m_u, r)
         cw = cols[np.arange(n_u)[:, None], :, digits]  # (N_u, C, R)
         mean = np.einsum("ucr,run->crn", cw, h).reshape(len(idx), r_n)
@@ -99,10 +98,7 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
         best_d2[better] = val[better]
         best_idx[better] = idx[arg[better]]
 
-    digits = (
-        best_idx[:, None] // (m ** np.arange(n_u - 1, -1, -1))[None, :]
-    ) % m
-    return DecodeResult(digits.astype(int))
+    return DecodeResult(_combo_digits(best_idx, m, n_u).astype(int))
 
 
 def _contract_first(table, msg):
@@ -199,10 +195,8 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
     lik = []
     for r, users in enumerate(graph.lambda_r):
         L = len(users)
-        combos = m**L
-        idx = np.arange(combos)
-        digits = (idx[None, :] // (m ** np.arange(L - 1, -1, -1))[:, None]) % m
-        cw = np.stack([cb.matrices[u][r, digits[i]] for i, u in enumerate(users)])
+        digits = _combo_digits(np.arange(m**L), m, L)
+        cw = np.stack([cb.matrices[u][r, digits[:, i]] for i, u in enumerate(users)])
         mean = np.einsum("ic,in->cn", cw, h[r][list(users), :])
         lik.append(_likelihood(y_b[r], mean, sigma_eff))
 

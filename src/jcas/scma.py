@@ -109,6 +109,18 @@ class FactorGraph:
     omega_u: tuple
 
 
+def _check_m(m):
+    """A book needs M >= 2 codewords per user to carry information."""
+    if m < 2:
+        raise CodebookError(f"need M >= 2 codewords per user, got {m}")
+
+
+def _combo_digits(idx, m, n):
+    """Per-user symbols (..., n) of joint combination indices idx: their n
+    base-m digits, user 0's the most significant."""
+    return (np.asarray(idx)[..., None] // m ** np.arange(n - 1, -1, -1)) % m
+
+
 def _balanced_supports(n_users, n_ores, d_v):
     """Pick one ORE subset of size d_v per user, keeping per-ORE loads balanced."""
     combos = list(itertools.combinations(range(n_ores), d_v))
@@ -144,8 +156,7 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
     """
     if d_v > n_ores:
         raise CodebookError("d_v cannot exceed the number of OREs")
-    if m < 2:
-        raise CodebookError(f"need M >= 2 codewords per user, got {m}")
+    _check_m(m)  # before the phases below divide by m
     supports = _balanced_supports(n_users, n_ores, d_v)
     # per-ORE rotation slot for each of its users
     rot_index = {}
@@ -176,6 +187,7 @@ def default_codebook() -> Codebook:
 
 def validate_codebook(cb: Codebook):
     """Check all structural invariants; raises CodebookError on the first violation."""
+    _check_m(cb.m)
     d_v = cb.d_v
     if d_v < 1:
         raise CodebookError("user 0: codewords have no nonzero rows")

@@ -7,10 +7,10 @@ optionally blended with the previous estimate (momentum).
 
 A PacketRecord carries its packet's PacketChannel, which holds the static
 channel part and the scatter operator of the packet's IRS pattern. The
-record computes two products of its current decode once and keeps them: its
-EstimatedChannel and the scatter components of all OREs (the estimate minus
-the static part). Assigning a new decode to symbol_indices (self-iteration,
-feedback) drops both. The record also keeps the lifted (Re, Im) measurement
+record computes the EstimatedChannel of its current decode once and keeps
+it; sense subtracts the static part from it on the stacked pairs.
+Assigning a new decode to symbol_indices (self-iteration, feedback) drops
+the estimate. The record also keeps the lifted (Re, Im) measurement
 rows of its stacking pairs, one set per ore_mode, computed on first use;
 they depend only on the PacketChannel, so a new decode keeps them, and they
 live as long as the record stays in the window. A record is sensed against
@@ -25,7 +25,7 @@ import numpy as np
 from .channel import PacketChannel
 from .gamp import PriorParams, gamp_solve
 from .scma import Codebook, factor_graph
-from .transceiver import codeword_tensor, Frame
+from .transceiver import codeword_tensor
 
 __all__ = [
     "EstimatedChannel",
@@ -69,7 +69,7 @@ def estimate_channel(y, symbol_indices, cb: Codebook) -> EstimatedChannel:
         raise ValueError(f"received tensor shape {y.shape} inconsistent with codebook")
     n_t, _, n_r = y.shape
     graph = factor_graph(cb)
-    e = codeword_tensor(Frame(symbol_indices), cb)  # (N_T, R, N_u)
+    e = codeword_tensor(symbol_indices, cb)  # (N_T, R, N_u)
 
     h = np.zeros((cb.n_ores, cb.n_users, n_r), dtype=complex)
     observed = np.zeros((cb.n_ores, cb.n_users), dtype=bool)
@@ -105,17 +105,15 @@ class PacketRecord:
     y: np.ndarray = field(repr=False)  # (N_T, R, N_R)
     symbol_indices: np.ndarray = field(repr=False)  # (N_T, N_u), current decode
     channel: PacketChannel = None
-    # estimate and scatter components (R, N_u, N_R) of the current decode
+    # estimate of the current decode
     _est: EstimatedChannel | None = field(default=None, init=False, repr=False)
-    _scat: np.ndarray | None = field(default=None, init=False, repr=False)
     # ore_mode -> lifted measurement rows of its pairs (see lifted_rows)
     _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __setattr__(self, name, value):
         if name == "symbol_indices":
-            # a new decode makes everything estimated from the old one stale
+            # a new decode makes the estimate from the old one stale
             super().__setattr__("_est", None)
-            super().__setattr__("_scat", None)
         super().__setattr__(name, value)
 
     def estimate(self, cb: Codebook) -> EstimatedChannel:
@@ -123,15 +121,6 @@ class PacketRecord:
         if self._est is None:
             self._est = estimate_channel(self.y, self.symbol_indices, cb)
         return self._est
-
-    def scatter(self, cb: Codebook):
-        """Scatter components (R, N_u, N_R): the estimate minus the static part.
-
-        Entries of unobserved (ORE, user) pairs carry no measurement.
-        """
-        if self._scat is None:
-            self._scat = self.estimate(cb).h - self.channel.static
-        return self._scat
 
     def lifted_rows(self, ore_mode, ores, users):
         """Re and Im parts (2, len, N_R, N_s) of the measurement matrices of
@@ -179,7 +168,9 @@ def sense(
         est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
         keep = est.observed[ores_all, users_all]
-        rows.append(rec.scatter(cb)[ores_all[keep], users_all[keep]])
+        ores, users = ores_all[keep], users_all[keep]
+        # scatter components: the estimate minus the static channel part
+        rows.append(est.h[ores, users] - rec.channel.static[ores, users])
         keeps.append(keep)
     h_tilde = np.concatenate(rows).ravel()
     if h_tilde.size == 0:

@@ -1,57 +1,18 @@
 """Frame formation, channel application and calibrated complex Gaussian noise.
 
+A frame is a plain (N_T, N_u) array of symbol indices, one per (time slot,
+user), and transmit returns the received tensor y (N_T, R, N_R) itself.
+
 Noise convention used across the package: sigma2 is the total variance of the
 circularly-symmetric complex noise sample, E|w|^2 = sigma2 (sigma2/2 per real
 dimension). The MPA decoder likelihood reuses the same convention.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .scma import Codebook
 
-__all__ = [
-    "Frame",
-    "ReceivedFrame",
-    "noise_sigma",
-    "random_frame",
-    "codeword_tensor",
-    "transmit",
-]
-
-
-@dataclass
-class Frame:
-    """Symbol indices per (time slot, user)."""
-
-    symbol_indices: np.ndarray  # (N_T, N_u) ints in [0, M)
-
-    def __post_init__(self):
-        s = np.atleast_2d(np.asarray(self.symbol_indices, dtype=int))
-        if s.ndim != 2:
-            raise ValueError("symbol_indices must be (N_T, N_u)")
-        self.symbol_indices = s
-
-    @property
-    def n_slots(self):
-        return self.symbol_indices.shape[0]
-
-    @property
-    def n_users(self):
-        return self.symbol_indices.shape[1]
-
-
-@dataclass
-class ReceivedFrame:
-    """Received tensor y (N_T, R, N_R) and the noise variance that produced it."""
-
-    y: np.ndarray = field(repr=False)
-    sigma2: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.y.view(float))):
-            raise ValueError("received frame contains non-finite entries")
+__all__ = ["noise_sigma", "random_frame", "codeword_tensor", "transmit"]
 
 
 def noise_sigma(ebn0_db: float, cb: Codebook) -> float:
@@ -66,37 +27,43 @@ def noise_sigma(ebn0_db: float, cb: Codebook) -> float:
     return float(eb * 10.0 ** (-ebn0_db / 10.0))
 
 
-def random_frame(n_slots: int, cb: Codebook, packet: int, seed) -> Frame:
-    """Uniform random symbols for every (slot, user), keyed by (seed, packet)."""
+def random_frame(n_slots: int, cb: Codebook, packet: int, seed) -> np.ndarray:
+    """Uniform random symbol indices (N_T, N_u) in [0, M) for every (slot,
+    user), keyed by (seed, packet)."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(packet))))
-    return Frame(rng.integers(0, cb.m, size=(n_slots, cb.n_users)))
+    return rng.integers(0, cb.m, size=(n_slots, cb.n_users))
 
 
-def codeword_tensor(frame: Frame, cb: Codebook):
-    """Transmitted codeword entries E with E[t, r, u] = C_u(m_{t,u}, r)."""
-    if frame.n_users != cb.n_users:
+def codeword_tensor(symbols, cb: Codebook):
+    """Transmitted codeword entries E with E[t, r, u] = C_u(m_{t,u}, r).
+
+    symbols holds the (N_T, N_u) symbol indices m_{t,u}.
+    """
+    symbols = np.atleast_2d(np.asarray(symbols, dtype=int))
+    if symbols.ndim != 2:
+        raise ValueError("symbol indices must be (N_T, N_u)")
+    if symbols.shape[1] != cb.n_users:
         raise ValueError(
-            f"frame has {frame.n_users} users, codebook has {cb.n_users}"
+            f"frame has {symbols.shape[1]} users, codebook has {cb.n_users}"
         )
-    if np.any(frame.symbol_indices < 0) or np.any(frame.symbol_indices >= cb.m):
+    if np.any(symbols < 0) or np.any(symbols >= cb.m):
         raise ValueError("symbol index out of range for this codebook")
     cols = np.stack(cb.matrices)  # (N_u, R, M)
     # fancy-index per user: E[t, r, u] = cols[u, r, m[t, u]]
-    return cols[np.arange(cb.n_users)[None, :], :, frame.symbol_indices].transpose(
-        0, 2, 1
-    )
+    return cols[np.arange(cb.n_users)[None, :], :, symbols].transpose(0, 2, 1)
 
 
-def transmit(frame: Frame, h, cb: Codebook, sigma2: float, seed=None) -> ReceivedFrame:
+def transmit(symbols, h, cb: Codebook, sigma2: float, seed=None) -> np.ndarray:
     """Apply the per-ORE channel and add noise.
 
-    h is the (R, N_u, N_R) composite channel. Returns y with
+    symbols holds the (N_T, N_u) symbol indices and h is the (R, N_u, N_R)
+    composite channel. Returns the received tensor y (N_T, R, N_R) with
     y[t, r, n_R] = sum_u h[r, u, n_R] * C_u(m_{t,u}, r) + w.
     """
     h = np.asarray(h)
     if h.ndim != 3 or h.shape[0] != cb.n_ores or h.shape[1] != cb.n_users:
         raise ValueError(f"channel shape {h.shape} inconsistent with codebook")
-    e = codeword_tensor(frame, cb)  # (N_T, R, N_u)
+    e = codeword_tensor(symbols, cb)  # (N_T, R, N_u)
     y = np.einsum("tru,run->trn", e, h)
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
@@ -104,4 +71,6 @@ def transmit(frame: Frame, h, cb: Codebook, sigma2: float, seed=None) -> Receive
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         y = y + np.sqrt(sigma2 / 2.0) * w
-    return ReceivedFrame(y, float(sigma2))
+    if not np.all(np.isfinite(y.view(float))):
+        raise ValueError("received frame contains non-finite entries")
+    return y

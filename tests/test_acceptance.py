@@ -203,13 +203,13 @@ def test_criterion_5_mpa_vs_ml():
         frame = random_frame(10_000, cb, 0, 9)
         sigma2 = noise_sigma(10.0, cb)
         rx = transmit(frame, h, cb, sigma2, seed=10)
-        mp = mpa_decode(rx.y, h, cb, sigma2, k_it=10)
-        ml = ml_decode(rx.y, h, cb)
+        mp = mpa_decode(rx, h, cb, sigma2, k_it=10)
+        ml = ml_decode(rx, h, cb)
         agree = float(np.mean(mp.indices == ml.indices))
         # noiseless: exact agreement
         rx0 = transmit(frame, h, cb, 0.0)
-        mp0 = mpa_decode(rx0.y, h, cb, 1e-3, k_it=10)
-        ml0 = ml_decode(rx0.y, h, cb)
+        mp0 = mpa_decode(rx0, h, cb, 1e-3, k_it=10)
+        ml0 = ml_decode(rx0, h, cb)
         exact = bool(np.array_equal(mp0.indices, ml0.indices))
         ok = ok and agree >= 0.99 and exact
         details.append(f"{tag}: 10dB agreement {agree:.4f}, noiseless exact {exact}")
@@ -381,7 +381,7 @@ def test_criterion_9_metric_bounds():
     n_slots = 100_000
     frame = random_frame(n_slots, cb, 0, 1)
     rx = transmit(frame, h, cb, sigma2, seed=2)
-    measured = ser(ml_decode(rx.y, h, cb).indices, frame.symbol_indices)
+    measured = ser(ml_decode(rx, h, cb).indices, frame)
     stderr = np.sqrt(measured * (1 - measured) / (n_slots * cb.n_users))
     union_ok = bound >= measured - 1.96 * stderr
     _report(

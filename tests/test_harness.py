@@ -5,7 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -243,13 +243,21 @@ def test_run_experiment_outputs_and_determinism(small_cfg, tmp_path):
     # scene snapshots load back as valid scenes
     snap = load_scene(tmp_path / "a" / "scene_ebn0_db_0.txt")
     assert snap.spec.n_voxels == 512
+    columns = "axis,value,trial,packet,mse,ser,ser_post_feedback,gate,ks_used,diverged"
     with open(tmp_path / "a" / "trace.csv") as f:
-        assert f.readline().startswith("# jcas-trace-v1")
-        header = f.readline().strip().split(",")
-    assert "wall_ms" not in header
+        assert f.readline() == "# jcas-trace-v1\n"
+        assert f.readline() == columns + "\n"
     # failures.csv is written only when a sweep point failed
     assert not (tmp_path / "a" / "failures.csv").exists()
     assert len(out_a) == 4
+    # record_timing appends wall_ms to the same columns, in every row
+    run_experiment(replace(small_cfg, record_timing=True), output_dir=str(tmp_path / "t"))
+    with open(tmp_path / "t" / "trace.csv") as f:
+        assert f.readline() == "# jcas-trace-v1\n"
+        assert f.readline() == columns + ",wall_ms\n"
+        rows = list(csv.reader(f))
+    assert rows and all(len(row) == len(columns.split(",")) + 1 for row in rows)
+    assert all(float(row[-1]) > 0 for row in rows)
 
 
 def test_output_dir_env_override(small_cfg, tmp_path, monkeypatch):
@@ -375,6 +383,9 @@ def test_cli_validate(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
     assert main(["validate", str(bad)]) == 1
+    one = tmp_path / "one_codeword.txt"
+    one.write_text("scma 2 2 1 2\n0.7+0j 0.7+0j\n0.7+0j 0.7j\n")
+    assert main(["validate", str(one)]) == 1
     assert main(["validate", str(tmp_path / "missing.txt")]) == 2
 
 

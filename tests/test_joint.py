@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jcas.joint import JointConfig, JointRunner, RunTrace, run_joint
+from jcas.joint import JointConfig, JointRunner, RunTrace
 from jcas.scma import build_codebook
 
 
@@ -39,21 +39,21 @@ def test_config_rejects_unknown_ore_mode():
 
 
 def test_run_is_deterministic(truth, links, codebook, prior):
-    a = run_joint(truth, links, codebook, prior, _cfg())
-    b = run_joint(truth, links, codebook, prior, _cfg())
+    a = JointRunner(truth, links, codebook, prior, _cfg()).run()
+    b = JointRunner(truth, links, codebook, prior, _cfg()).run()
     assert np.array_equal(a.x_final, b.x_final)
     assert a.column("mse").tolist() == b.column("mse").tolist()
     assert a.column("ser").tolist() == b.column("ser").tolist()
 
 
 def test_different_seeds_differ(truth, links, codebook, prior):
-    a = run_joint(truth, links, codebook, prior, _cfg(seed=1))
-    b = run_joint(truth, links, codebook, prior, _cfg(seed=2))
+    a = JointRunner(truth, links, codebook, prior, _cfg(seed=1)).run()
+    b = JointRunner(truth, links, codebook, prior, _cfg(seed=2)).run()
     assert not np.array_equal(a.x_final, b.x_final)
 
 
 def test_mse_improves_over_packets(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(n_packets=10))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(n_packets=10)).run()
     mse = tr.column("mse")
     assert mse[-1] < 0.2 * mse[0]
     assert tr.x_final.shape == truth.values.shape
@@ -61,7 +61,7 @@ def test_mse_improves_over_packets(truth, links, codebook, prior):
 
 
 def test_feedback_fills_post_ser_rows(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(n_b=3))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(n_b=3)).run()
     post = [p.ser_post_feedback for p in tr.packets]
     # inline feedback revises earlier packets while the image still moves
     assert any(v is not None for v in post)
@@ -74,7 +74,7 @@ def test_feedback_fills_post_ser_rows(truth, links, codebook, prior):
 
 
 def test_feedback_stops_once_image_settles(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(n_b=1, n_packets=12))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(n_b=1, n_packets=12)).run()
     post = [p.ser_post_feedback for p in tr.packets]
     filled = [v is not None for v in post]
     # once the stop rule fires the remaining packets stay unrevised
@@ -84,23 +84,33 @@ def test_feedback_stops_once_image_settles(truth, links, codebook, prior):
 
 
 def test_no_feedback_when_nb_zero(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(n_b=0))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(n_b=0)).run()
     assert all(p.ser_post_feedback is None for p in tr.packets)
 
 
 def test_genie_decoder_at_least_as_good_early(truth, links, codebook, prior):
-    cold = run_joint(
+    cold = JointRunner(
         truth, links, codebook, prior, _cfg(ebn0_db=0.0, decoder="mpa", n_pilot=0)
-    )
-    genie = run_joint(
+    ).run()
+    genie = JointRunner(
         truth, links, codebook, prior, _cfg(ebn0_db=0.0, decoder="genie", n_pilot=0)
-    )
+    ).run()
     # at packet 1 the cold loop decodes with a scene-less channel guess
     assert genie.packets[0].ser <= cold.packets[0].ser
 
 
+def test_genie_decodes_every_time_with_the_true_channel(truth, links, codebook, prior):
+    """The genie decoder's self-iteration and feedback re-decodes use the
+    true channel too, so they reproduce the forward decode exactly."""
+    cfg = _cfg(decoder="genie", k_s=2, n_b=2, ebn0_db=0.0, n_packets=10)
+    tr = JointRunner(truth, links, codebook, prior, cfg).run()
+    revised = [p for p in tr.packets if p.ser_post_feedback is not None]
+    assert revised and any(p.ser > 0 for p in revised)
+    assert [p.ser_post_feedback for p in revised] == [p.ser for p in revised]
+
+
 def test_self_iteration_gate_collapses(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(k_s=4, n_packets=8))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(k_s=4, n_packets=8)).run()
     ks = tr.column("ks_used")
     gates = tr.column("gate")
     assert gates.any()
@@ -109,13 +119,8 @@ def test_self_iteration_gate_collapses(truth, links, codebook, prior):
     assert np.all(ks[first_gate + 1 :] == 1)
 
 
-def test_overrides_patch_config(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(), n_packets=3)
-    assert len(tr.packets) == 3
-
-
 def test_pilot_packets_marked_and_error_free(truth, links, codebook, prior):
-    tr = run_joint(truth, links, codebook, prior, _cfg(n_pilot=3, ebn0_db=0.0))
+    tr = JointRunner(truth, links, codebook, prior, _cfg(n_pilot=3, ebn0_db=0.0)).run()
     pilots = tr.column("pilot")
     assert pilots[:3].all() and not pilots[3:].any()
     assert np.all(tr.column("ser")[:3] == 0)
@@ -124,17 +129,17 @@ def test_pilot_packets_marked_and_error_free(truth, links, codebook, prior):
 def test_noiseless_run_exact(truth, links, codebook, prior):
     # 3 pilot packets stack enough rows for the sparse solver to lock in
     cfg = _cfg(ebn0_db=200.0, n_packets=8, n_b=0, n_pilot=3)
-    tr = run_joint(truth, links, codebook, prior, cfg)
+    tr = JointRunner(truth, links, codebook, prior, cfg).run()
     assert np.all(tr.column("ser") == 0)
     assert tr.packets[-1].mse <= 1e-6
 
 
 def test_runners_share_no_state(truth, links, codebook, prior):
     cols = ("mse", "ser", "gate", "ks_used")
-    a = run_joint(truth, links, codebook, prior, _cfg())
+    a = JointRunner(truth, links, codebook, prior, _cfg()).run()
     # a runner on another book in between must not leak into the next one
-    run_joint(truth, links, build_codebook(6, 4, m=2, d_v=2), prior, _cfg(n_packets=3))
-    b = run_joint(truth, links, codebook, prior, _cfg())
+    JointRunner(truth, links, build_codebook(6, 4, m=2, d_v=2), prior, _cfg(n_packets=3)).run()
+    b = JointRunner(truth, links, codebook, prior, _cfg()).run()
     for name in cols:
         assert a.column(name).tolist() == b.column(name).tolist()
     assert np.array_equal(a.x_final, b.x_final)
@@ -166,10 +171,10 @@ def test_feedback_redecodes_non_pilot_packets_in_window(truth, links, codebook, 
     runner = JointRunner(truth, links, codebook, prior, cfg)
     decode, decoded = runner._decode, []
 
-    def counted(y, h):
+    def counted(rec):
         # None for the forward decode, which runs before its packet is pushed
-        decoded.append(next((row.packet for rec, _, row in runner.window if rec.y is y), None))
-        return decode(y, h)
+        decoded.append(next((row.packet for r, _, row in runner.window if r is rec), None))
+        return decode(rec)
 
     runner._decode = counted
     rows = []

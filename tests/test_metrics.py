@@ -64,7 +64,7 @@ def test_union_bound_upper_bounds_measured_ser():
     bound = ser_union_bound(cb, lambda rng: h, sigma2, samples=100)
     frame = random_frame(100_000, cb, 0, 1)
     rx = transmit(frame, h, cb, sigma2, seed=2)
-    measured = ser(ml_decode(rx.y, h, cb).indices, frame.symbol_indices)
+    measured = ser(ml_decode(rx, h, cb).indices, frame)
     assert bound >= measured
 
 

@@ -41,8 +41,8 @@ def test_ml_matches_bruteforce_oracle():
     h = _rand_channel(cb, 2, 0)
     frame = random_frame(20, cb, 0, 1)
     rx = transmit(frame, h, cb, noise_sigma(6.0, cb), seed=2)
-    fast = ml_decode(rx.y, h, cb).indices
-    slow = _ml_bruteforce(rx.y, h, cb)
+    fast = ml_decode(rx, h, cb).indices
+    slow = _ml_bruteforce(rx, h, cb)
     assert np.array_equal(fast, slow)
 
 
@@ -51,7 +51,7 @@ def test_ml_noiseless_is_exact():
     h = _rand_channel(cb, 2, 3)
     frame = random_frame(50, cb, 0, 4)
     rx = transmit(frame, h, cb, 0.0)
-    assert np.array_equal(ml_decode(rx.y, h, cb).indices, frame.symbol_indices)
+    assert np.array_equal(ml_decode(rx, h, cb).indices, frame)
 
 
 def test_ml_guard_rejects_huge_books():
@@ -69,14 +69,14 @@ def test_mpa_collision_free_posterior_oracle():
     frame = random_frame(10, cb, 0, 6)
     sigma2 = noise_sigma(8.0, cb)
     rx = transmit(frame, h, cb, sigma2, seed=7)
-    res = mpa_decode(rx.y, h, cb, sigma2)
+    res = mpa_decode(rx, h, cb, sigma2)
     for u in range(2):
         r = cb.support(u)[0]
         for t in range(10):
             logp = np.zeros(cb.m)
             for m in range(cb.m):
                 mean = h[r, u, :] * cb.matrices[u][r, m]
-                logp[m] = -np.sum(np.abs(rx.y[t, r, :] - mean) ** 2) / sigma2
+                logp[m] = -np.sum(np.abs(rx[t, r, :] - mean) ** 2) / sigma2
             p = np.exp(logp - logp.max())
             p /= p.sum()
             assert np.allclose(res.posteriors[t, u], p, atol=1e-8)
@@ -88,7 +88,7 @@ def test_mpa_posteriors_normalized():
     frame = random_frame(16, cb, 0, 9)
     sigma2 = noise_sigma(10.0, cb)
     rx = transmit(frame, h, cb, sigma2, seed=10)
-    res = mpa_decode(rx.y, h, cb, sigma2)
+    res = mpa_decode(rx, h, cb, sigma2)
     assert np.allclose(res.posteriors.sum(axis=2), 1.0)
     assert np.array_equal(res.indices, np.argmax(res.posteriors, axis=2))
 
@@ -110,7 +110,7 @@ def test_mpa_posteriors_sum_to_one(seed, shape, m, n_ant, n_slots, ebn0_db, scal
     h = _rand_channel(cb, n_ant, seed, scale)
     sigma2 = noise_sigma(ebn0_db, cb)
     rx = transmit(random_frame(n_slots, cb, 0, seed), h, cb, sigma2, seed=seed)
-    post = mpa_decode(rx.y, h, cb, sigma2, k_it=k_it).posteriors
+    post = mpa_decode(rx, h, cb, sigma2, k_it=k_it).posteriors
     assert post.shape == (n_slots, n_users, m)
     assert np.all(post >= 0)
     assert np.allclose(post.sum(axis=2), 1.0, rtol=0, atol=1e-12)
@@ -122,8 +122,8 @@ def test_mpa_agrees_with_ml_at_high_snr():
     frame = random_frame(400, cb, 0, 12)
     sigma2 = noise_sigma(10.0, cb)
     rx = transmit(frame, h, cb, sigma2, seed=13)
-    a = mpa_decode(rx.y, h, cb, sigma2).indices
-    b = ml_decode(rx.y, h, cb).indices
+    a = mpa_decode(rx, h, cb, sigma2).indices
+    b = ml_decode(rx, h, cb).indices
     assert np.mean(a == b) >= 0.99
 
 
@@ -132,8 +132,8 @@ def test_mpa_noiseless_exact():
     h = _rand_channel(cb, 2, 14)
     frame = random_frame(100, cb, 0, 15)
     rx = transmit(frame, h, cb, 0.0)
-    res = mpa_decode(rx.y, h, cb, sigma2=0.0)
-    assert np.array_equal(res.indices, frame.symbol_indices)
+    res = mpa_decode(rx, h, cb, sigma2=0.0)
+    assert np.array_equal(res.indices, frame)
 
 
 def test_mpa_ser_improves_with_snr():
@@ -144,7 +144,7 @@ def test_mpa_ser_improves_with_snr():
     for db in (0.0, 6.0, 12.0):
         sigma2 = noise_sigma(db, cb)
         rx = transmit(frame, h, cb, sigma2, seed=18)
-        sers.append(ser(mpa_decode(rx.y, h, cb, sigma2).indices, frame.symbol_indices))
+        sers.append(ser(mpa_decode(rx, h, cb, sigma2).indices, frame))
     assert sers[0] > sers[2]
     assert sers[1] >= sers[2]
 
@@ -179,8 +179,9 @@ def test_mpa_matches_reference(shape, m, n_ant):
     cb = build_codebook(*shape, m=m, d_v=2)
     h = _rand_channel(cb, n_ant, 19)
     frame = random_frame(12, cb, 0, 20)
-    noisy = transmit(frame, h, cb, noise_sigma(4.0, cb), seed=21)
-    cases = [(transmit(frame, h, cb, 0.0).y, 0.0), (noisy.y, noisy.sigma2), (noisy.y, 0.0)]
+    noisy_sigma2 = noise_sigma(4.0, cb)
+    noisy = transmit(frame, h, cb, noisy_sigma2, seed=21)
+    cases = [(transmit(frame, h, cb, 0.0), 0.0), (noisy, noisy_sigma2), (noisy, 0.0)]
     for y, sigma2 in cases:
         for k_it in (1, 10):
             fast = mpa_decode(y, h, cb, sigma2, k_it)

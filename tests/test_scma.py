@@ -71,6 +71,15 @@ def test_build_rejects_fewer_than_two_codewords(m):
         build_codebook(6, 4, m=m, d_v=2)
 
 
+def test_load_rejects_one_codeword_book(tmp_path):
+    """A structurally regular book with M = 1 has no information per symbol;
+    validation rejects it, so loading it fails."""
+    path = tmp_path / "cb.txt"
+    path.write_text("scma 2 2 1 2\n0.7+0j 0.7+0j\n0.7+0j 0.7j\n")
+    with pytest.raises(CodebookError, match="M >= 2"):
+        load_codebook(path)
+
+
 def test_validate_catches_support_mismatch():
     cb = default_codebook()
     mats = [m.copy() for m in cb.matrices]

@@ -15,7 +15,7 @@ from jcas.sensing import (
     sense,
 )
 from jcas.scma import Codebook, build_codebook, factor_graph
-from jcas.transceiver import Frame, codeword_tensor, noise_sigma, random_frame, transmit
+from jcas.transceiver import codeword_tensor, noise_sigma, random_frame, transmit
 
 
 def _packet(links, truth, cb, packet, sigma2, seed=5, n_slots=64):
@@ -28,7 +28,7 @@ def _packet(links, truth, cb, packet, sigma2, seed=5, n_slots=64):
 
 def test_estimate_channel_noiseless_exact(links, truth, codebook):
     ch, h, frame, rx = _packet(links, truth, codebook, 1, sigma2=0.0)
-    est = estimate_channel(rx.y, frame.symbol_indices, codebook)
+    est = estimate_channel(rx, frame, codebook)
     assert est.observed.sum() == codebook.d_v * codebook.n_users
     for r in range(codebook.n_ores):
         for u in range(codebook.n_users):
@@ -58,7 +58,7 @@ def test_estimate_channel_noiseless_exact_on_observed_pairs(seed, shape, m, n_an
         (n_ores, n_users, n_ant)
     )
     frame = random_frame(cb.max_d_f + extra_slots, cb, 0, seed)
-    est = estimate_channel(transmit(frame, h, cb, 0.0).y, frame.symbol_indices, cb)
+    est = estimate_channel(transmit(frame, h, cb, 0.0), frame, cb)
     assert np.all(est.h[~est.observed] == 0)
     e = codeword_tensor(frame, cb)
     for r, users in enumerate(factor_graph(cb).lambda_r):
@@ -75,9 +75,9 @@ def test_estimate_channel_flags_rank_deficient_symbols(links, truth, codebook):
     """Every user repeating one symbol leaves S^H S rank one on each ORE; the
     ridge must not pass that off as an observation."""
     ch = PacketChannel(links, random_binary_pattern(400, 1, 5))
-    frame = Frame(np.zeros((codebook.max_d_f + 2, codebook.n_users), dtype=int))
+    frame = np.zeros((codebook.max_d_f + 2, codebook.n_users), dtype=int)
     rx = transmit(frame, ch.channel(truth.values), codebook, 0.0)
-    est = estimate_channel(rx.y, frame.symbol_indices, codebook)
+    est = estimate_channel(rx, frame, codebook)
     assert not est.observed.any()
     assert np.all(est.h == 0)
 
@@ -90,7 +90,7 @@ def test_estimate_channel_flags_ill_conditioned_symbols(delta, observed):
     cb = Codebook([np.array([[1, 1]]), np.array([[1, 1 + delta]])])
     sym = np.array([[0, 0], [1, 1]])
     h = np.array([[[1 + 1j], [0.5 - 2j]]])
-    est = estimate_channel(transmit(Frame(sym), h, cb, 0.0).y, sym, cb)
+    est = estimate_channel(transmit(sym, h, cb, 0.0), sym, cb)
     assert np.all(est.observed == observed)
     if observed:
         assert np.linalg.norm(est.h - h) <= 1e-2 * np.linalg.norm(h)
@@ -103,7 +103,7 @@ def test_estimate_channel_noise_variance_tracks_sigma2(links, truth, codebook):
     errs, variances = [], []
     for k in range(1, 6):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2, n_slots=256)
-        est = estimate_channel(rx.y, frame.symbol_indices, codebook)
+        est = estimate_channel(rx, frame, codebook)
         mask = est.observed
         errs.append(
             np.mean(np.abs(est.h[mask] - np.stack([h[r, u] for r, u in zip(*np.where(mask))])) ** 2)
@@ -120,16 +120,19 @@ def test_estimate_channel_needs_enough_slots(codebook):
         estimate_channel(y, sym, codebook)
 
 
-def test_scatter_component_inverts_composition(links, truth, codebook):
+def test_scatter_component_inverts_composition(monkeypatch, links, truth, codebook, prior):
+    """sense's stacked rows are the estimate minus the static channel part:
+    for an estimate equal to the composite channel, the scatter part."""
     ch = PacketChannel(links, random_binary_pattern(400, 3, 5))
     rec = PacketRecord(None, None, ch)
     # a record whose estimate is the exact composite channel
     rec._est = EstimatedChannel(
         ch.channel(truth.values), np.ones((links.n_ores, links.n_users), dtype=bool)
     )
-    scat = rec.scatter(codebook)
-    for r in (0, 2):
-        assert np.allclose(scat[r], ch.scatter(truth.values)[r], atol=1e-12)
+    _, y = _stacked_system(monkeypatch, [rec], codebook, prior, "all_ores")
+    ores, users = _stacking_pairs(codebook, "all_ores")
+    scat = ch.scatter(truth.values)[ores, users].ravel()
+    assert np.allclose(y, np.concatenate([scat.real, scat.imag]), atol=1e-12)
 
 
 def _assert_same_estimate(a, b):
@@ -141,25 +144,23 @@ def _assert_same_estimate(a, b):
 def test_record_cache_follows_its_decode(links, truth, codebook):
     sigma2 = noise_sigma(5.0, codebook)
     ch, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
-    rec = PacketRecord(rx.y, frame.symbol_indices, ch)
+    rec = PacketRecord(rx, frame, ch)
     est = rec.estimate(codebook)
     assert rec.estimate(codebook) is est
-    assert rec.scatter(codebook) is rec.scatter(codebook)
 
     rng = np.random.default_rng(0)
     for _ in range(2):
-        sym = rng.integers(0, codebook.m, frame.symbol_indices.shape)
+        sym = rng.integers(0, codebook.m, frame.shape)
         rec.symbol_indices = sym
-        fresh = estimate_channel(rx.y, sym, codebook)
+        fresh = estimate_channel(rx, sym, codebook)
         _assert_same_estimate(rec.estimate(codebook), fresh)
-        assert np.array_equal(rec.scatter(codebook), fresh.h - ch.static)
 
 
 def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
     records = []
     for k in range(1, 9):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx, frame, ch))
     x_hat, result = sense(records, codebook, prior)
     assert np.mean((x_hat - truth.values) ** 2) < 1e-8
 
@@ -171,7 +172,7 @@ def test_sense_noisy_better_with_longer_window(links, truth, codebook, prior):
         window = deque(maxlen=n_f)  # keeps the last n_f of the 10 packets
         for k in range(1, 11):
             ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
-            window.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+            window.append(PacketRecord(rx, frame, ch))
         x_hat, _ = sense(window, codebook, prior)
         mses.append(np.mean((x_hat - truth.values) ** 2))
     assert mses[1] < mses[0]
@@ -181,7 +182,7 @@ def test_sense_momentum_blend(links, truth, codebook, prior):
     records = []
     for k in range(1, 5):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx, frame, ch))
     x_prev = np.zeros_like(truth.values)
     plain, _ = sense(records, codebook, prior, mu=0.0, x_prev=x_prev)
     blended, _ = sense(records, codebook, prior, mu=0.9, x_prev=x_prev)
@@ -192,7 +193,7 @@ def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
     records = []
     for k in range(1, 3):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx, frame, ch))
     x_first, _ = sense(records, codebook, prior, ore_mode="user_first")
     x_all, _ = sense(records, codebook, prior, ore_mode="all_ores")
     # with only 2 packets the one-row-per-user stack is underdetermined;
@@ -245,13 +246,14 @@ def _stacking_pairs(cb, ore_mode):
 
 def _lifted_from_scratch(records, cb, ore_mode):
     """lift_complex of the concatenated measurement matrices of every record's
-    observed stacking pairs, with their scatter rows."""
+    observed stacking pairs, with their scatter rows (estimate minus static
+    part)."""
     ores_all, users_all = _stacking_pairs(cb, ore_mode)
     rows, mats = [], []
     for rec in records:
         keep = rec.estimate(cb).observed[ores_all, users_all]
         ores, users = ores_all[keep], users_all[keep]
-        rows.append(rec.scatter(cb)[ores, users])
+        rows.append((rec.estimate(cb).h - rec.channel.static)[ores, users])
         mats.append(rec.channel.matrices(ores, users))
     h_tilde = np.concatenate(rows).ravel()
     return lift_complex(np.concatenate(mats).reshape(h_tilde.size, -1), h_tilde)
@@ -267,9 +269,9 @@ def test_sense_stacks_kept_rows_bit_equal(monkeypatch, links, truth, codebook, p
     records, sent = [], []
     for k in range(1, 7):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2, n_slots=3)
-        sym = np.zeros_like(frame.symbol_indices) if k == 4 else frame.symbol_indices
-        records.append(PacketRecord(rx.y, sym, ch))
-        sent.append(frame.symbol_indices)
+        sym = np.zeros_like(frame) if k == 4 else frame
+        records.append(PacketRecord(rx, sym, ch))
+        sent.append(frame)
     ores_all, _ = _stacking_pairs(codebook, ore_mode)
     n_r = links.n_antennas
 
@@ -327,7 +329,7 @@ def test_record_keeps_lifted_rows_across_decodes(links, truth, codebook, prior):
     records = []
     for k in range(1, 4):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
-        records.append(PacketRecord(rx.y, frame.symbol_indices, ch))
+        records.append(PacketRecord(rx, frame, ch))
     sense(records, codebook, prior)
     kept = [rec._rows["user_first"] for rec in records]
     records[1].symbol_indices = np.zeros_like(records[1].symbol_indices)

@@ -4,7 +4,6 @@ import pytest
 from jcas.mpa import ser
 from jcas.scma import default_codebook
 from jcas.transceiver import (
-    Frame,
     codeword_tensor,
     noise_sigma,
     random_frame,
@@ -29,10 +28,10 @@ def test_random_frame_keyed_by_seed_and_packet():
     a = random_frame(16, cb, packet=2, seed=5)
     b = random_frame(16, cb, packet=2, seed=5)
     c = random_frame(16, cb, packet=3, seed=5)
-    assert np.array_equal(a.symbol_indices, b.symbol_indices)
-    assert not np.array_equal(a.symbol_indices, c.symbol_indices)
-    assert a.symbol_indices.shape == (16, 6)
-    assert a.symbol_indices.min() >= 0 and a.symbol_indices.max() < 4
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (16, 6)
+    assert a.min() >= 0 and a.max() < 4
 
 
 def test_codeword_tensor_oracle():
@@ -43,16 +42,16 @@ def test_codeword_tensor_oracle():
     assert e.shape == (5, cb.n_ores, cb.n_users)
     for t in range(5):
         for u in range(cb.n_users):
-            m = frame.symbol_indices[t, u]
+            m = frame[t, u]
             assert np.array_equal(e[t, :, u], cb.matrices[u][:, m])
 
 
 def test_codeword_tensor_rejects_bad_indices():
     cb = default_codebook()
     with pytest.raises(ValueError):
-        codeword_tensor(Frame(np.full((2, 6), 4)), cb)
+        codeword_tensor(np.full((2, 6), 4), cb)
     with pytest.raises(ValueError):
-        codeword_tensor(Frame(np.zeros((2, 3), dtype=int)), cb)
+        codeword_tensor(np.zeros((2, 3), dtype=int), cb)
 
 
 def test_transmit_noiseless_oracle():
@@ -66,10 +65,10 @@ def test_transmit_noiseless_oracle():
         for r in range(4):
             for n in range(3):
                 expect = sum(
-                    h[r, u, n] * cb.matrices[u][r, frame.symbol_indices[t, u]]
+                    h[r, u, n] * cb.matrices[u][r, frame[t, u]]
                     for u in range(6)
                 )
-                assert np.isclose(rx.y[t, r, n], expect)
+                assert np.isclose(rx[t, r, n], expect)
 
 
 def test_transmit_noise_statistics():
@@ -79,7 +78,7 @@ def test_transmit_noise_statistics():
     frame = random_frame(4000, cb, 0, 2)
     sigma2 = 0.37
     rx = transmit(frame, h, cb, sigma2, seed=9)
-    power = np.mean(np.abs(rx.y) ** 2)
+    power = np.mean(np.abs(rx) ** 2)
     assert np.isclose(power, sigma2, rtol=0.05)
 
 
@@ -88,6 +87,15 @@ def test_transmit_rejects_negative_noise():
     h = np.zeros((4, 6, 2), dtype=complex)
     with pytest.raises(ValueError):
         transmit(random_frame(2, cb, 0, 1), h, cb, -1.0)
+
+
+def test_transmit_rejects_non_finite_received_frame():
+    cb = default_codebook()
+    h = np.full((4, 6, 2), np.inf, dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        transmit(random_frame(2, cb, 0, 1), h, cb, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        transmit(random_frame(2, cb, 0, 1), np.zeros((4, 6, 2)), cb, np.inf, seed=3)
 
 
 def test_ser_counts_positions():

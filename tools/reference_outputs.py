@@ -1,4 +1,4 @@
-"""Write the outputs of six fixed reference sweeps, for byte comparison.
+"""Write the outputs of seven fixed reference sweeps, for byte comparison.
 
     PYTHONPATH=src python tools/reference_outputs.py OUT
 
@@ -16,9 +16,9 @@ Together the configs cover the closed loop's paths: an SNR sweep on 16
 antennas (A), a crowded book with heavy momentum (B), momentum with deep
 feedback, self-iteration and every ORE stacked (D), a window shorter than
 the feedback depth with two pilots and momentum (E), the genie decoder
-(F), and frames of only max d_f slots (G), where most estimates flag an ORE
-unobserved and sense stacks a masked subset of the rows. Report only:
-nothing here asserts.
+(F), frames of only max d_f slots (G), where most estimates flag an ORE
+unobserved and sense stacks a masked subset of the rows, and the ML decoder
+with self-iteration and feedback (H). Report only: nothing here asserts.
 """
 
 import os
@@ -60,6 +60,10 @@ CONFIGS = {
     "G": ExperimentConfig(
         sweep="packets", values=(10,), trials=2, seed=7, n_antennas=4,
         joint=JointConfig(n_slots=3, n_f=4, n_b=1, k_s=2, ebn0_db=6.0),
+    ),
+    "H": ExperimentConfig(
+        sweep="packets", values=(8,), trials=2, seed=8, n_antennas=4,
+        joint=JointConfig(n_f=4, n_b=1, k_s=2, ebn0_db=4.0, decoder="ml"),
     ),
 }
 
