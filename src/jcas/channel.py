@@ -63,6 +63,18 @@ class Geometry:
     def n_antennas(self):
         return self.ap.shape[0]
 
+    def check_inside(self, room_dims):
+        """Raise ValueError naming the first position outside [0, room_dims]."""
+        room = np.asarray(room_dims, dtype=float)
+        for name in ("users", "ap", "irs"):
+            pts = getattr(self, name)
+            outside = np.any((pts < -1e-9) | (pts > room + 1e-9), axis=1)
+            if outside.any():
+                raise ValueError(
+                    f"{name} position {tuple(pts[np.argmax(outside)].tolist())} "
+                    f"is not inside the room {tuple(room.tolist())}"
+                )
+
 
 @dataclass
 class OreGrid:
@@ -152,13 +164,6 @@ def _gain(dist, freq):
     return amp * np.exp(1j * phase)
 
 
-def _check_inside(points, room_dims, name):
-    lo = np.min(points, axis=0)
-    hi = np.max(points, axis=0)
-    if np.any(lo < -1e-9) or np.any(hi > np.asarray(room_dims) + 1e-9):
-        raise ValueError(f"{name} positions must lie inside the room")
-
-
 def _distances(a, b):
     """Euclidean distance between every row of a (P, D) and every row of b (Q, D).
 
@@ -202,8 +207,7 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid) -> LinkSet:
     """
     d_min = float(np.linalg.norm(spec.voxel_dims))
     d_min_vox = min(spec.voxel_dims) / 4.0
-    for pts, name in ((geom.users, "user"), (geom.ap, "AP"), (geom.irs, "IRS")):
-        _check_inside(pts, spec.room_dims, name)
+    geom.check_inside(spec.room_dims)
 
     vox = voxel_centers(spec)
     freqs = grid.frequencies

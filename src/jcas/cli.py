@@ -5,8 +5,8 @@
         [--tol-file tolerances.txt]
     jcas validate <file>               validate a codebook/scene/geometry file
 
-Exit codes: 0 success, 1 validation failure (bad input file / failed
-comparison), 2 runtime failure. JCAS_OUTPUT_DIR overrides the configured
+Exit codes: 0 success, 1 validation failure (bad config or input file /
+failed comparison), 2 runtime failure. JCAS_OUTPUT_DIR overrides the configured
 output directory of `run`.
 """
 
@@ -28,6 +28,7 @@ EXIT_RUNTIME = 2
 def _cmd_run(args):
     try:
         cfg = ExperimentConfig.from_file(args.config)
+        cfg.files  # a named file that is missing or disagrees is a config error
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

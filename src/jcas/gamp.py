@@ -4,8 +4,9 @@ Bernoulli-Gaussian MAP denoiser.
 The prior on each coordinate is a spike at zero with mass (1 - lam + alpha)
 plus a Gaussian N(theta, sigma_x) carrying mass lam, truncated to [0, 1];
 alpha is the Gaussian mass falling outside (0, 1), folded back onto the
-spike. All sigmas are variances. The solver works on real systems; complex
-measurement stacks are bridged via lift_complex.
+spike. All sigmas are variances. The solver works on real systems; a
+complex measurement stack A x = h enters as [Re A; Im A] x = [Re h; Im h]
+(x is real), as sensing.sense builds it.
 """
 
 import itertools
@@ -22,7 +23,6 @@ __all__ = [
     "g_out",
     "map_objective",
     "gamp_solve",
-    "lift_complex",
 ]
 
 _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
@@ -295,16 +295,3 @@ def gamp_solve(
     iters = last.iterations if last is not None else 0
     return GampResult(best_x, sig_x, iters, residual, residual <= eps_t)
 
-
-def lift_complex(a_tilde, h_tilde):
-    """Stack [Re; Im] of a complex system so phi @ x reproduces it exactly.
-
-    x is real, so columns are not duplicated; the row count doubles.
-    """
-    a = np.asarray(a_tilde, dtype=complex)
-    h = np.asarray(h_tilde, dtype=complex)
-    if a.ndim != 2 or h.ndim != 1 or a.shape[0] != h.shape[0]:
-        raise ValueError(f"shape mismatch: A {a.shape}, H {h.shape}")
-    phi = np.vstack([a.real, a.imag])
-    y = np.concatenate([h.real, h.imag])
-    return phi, y

@@ -7,6 +7,12 @@ value or after whitespace starts a comment; "%" is literal. Child seeds are
 a pure function of (master seed, sweep value, trial): the sweep value is
 keyed as round(value * 1000) so float axes (dB, momentum) stay stable.
 
+The [scenario] fields are the one source of every scenario quantity. A
+scene, codebook or geometry file that a config names is read once per
+config, before any point runs (ExperimentConfig.files), and must agree with
+those fields; every point then uses the file's object in place of a
+generated one.
+
 Outputs per run: trace.csv (one row per packet of every trial), summary.csv
 (median / inter-quartile range over trials per sweep value),
 scene_<axis>_<value>.txt (the final image of trial 0, scene file format)
@@ -26,6 +32,7 @@ import ctypes
 import itertools
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +79,7 @@ _TRACE_FIELDS = (
 
 
 class SweepError(RuntimeError):
-    """A sweep point failed; carries the offending (value, trial)."""
+    """Every point of a sweep failed (see run_experiment)."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,8 @@ class ExperimentConfig:
     seed: int = 1
     output: str = "out"
     record_timing: bool = False
-    # scenario; file paths override the generated defaults
+    # scenario; a named file replaces the generated part and must agree
+    # with the fields below (see files)
     scene: str | None = None
     geometry: str | None = None
     codebook: str | None = None
@@ -121,6 +129,47 @@ class ExperimentConfig:
             raise ValueError(f"room {self.room} and voxel {self.voxel}: {exc}") from exc
         if self.sweep == "n_users" and min(self.values) < 1:
             raise ValueError(f"n_users sweep values must be >= 1, got {self.values}")
+
+    @cached_property
+    def files(self):
+        """(scene, codebook, geometry) read from the files this config names,
+        None for each it does not name; read on first use, then cached (a
+        pickled config carries them).
+
+        Raises OSError for a file that cannot be read, and ValueError when a
+        file disagrees with a [scenario] field, naming the file, the field and
+        both values. A codebook or geometry file fixes the user count, so
+        neither can be swept over n_users.
+        """
+        for name in ("codebook", "geometry"):
+            if getattr(self, name) and self.sweep == "n_users":
+                raise ValueError(
+                    f"{name} file {getattr(self, name)}: the file fixes n_users, "
+                    "so sweep cannot be n_users"
+                )
+        scene = cb = geom = None
+        counts = []  # (file kind, field, the file's value)
+        if self.scene:
+            scene = load_scene(self.scene, RoomSpec(self.room, self.voxel))
+        if self.codebook:
+            cb = load_codebook(self.codebook)
+            counts += [("codebook", k, getattr(cb, k)) for k in ("n_users", "n_ores", "m", "d_v")]
+        if self.geometry:
+            geom = load_geometry(self.geometry)
+            counts += [("geometry", "n_users", geom.n_users)]
+            counts += [("geometry", "n_antennas", geom.n_antennas)]
+        for kind, name, in_file in counts:
+            if in_file != getattr(self, name):
+                raise ValueError(
+                    f"{kind} file {getattr(self, kind)}: {name} is {in_file} in the "
+                    f"file, {getattr(self, name)} in the config"
+                )
+        if geom is not None:
+            try:
+                geom.check_inside(self.room)
+            except ValueError as exc:
+                raise ValueError(f"geometry file {self.geometry}: {exc}") from None
+        return scene, cb, geom
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -209,8 +258,9 @@ def default_geometry(n_users, n_antennas, room, seed) -> Geometry:
 
 def build_system(cfg: ExperimentConfig, value, trial: int):
     """Materialize (truth scene, links, codebook, prior, joint config) for
-    one sweep point and trial. File-based scenario parts are fixed across
-    the sweep; generated parts (user drop, scene draw) are per-trial."""
+    one sweep point and trial. A part read from a file (cfg.files) is the
+    same for every point; a generated part (user drop, scene draw) is drawn
+    per point and trial."""
     seed = child_seed(cfg.seed, value, trial)
     jc = cfg.joint
     n_users, mu = cfg.n_users, jc.mu
@@ -225,25 +275,12 @@ def build_system(cfg: ExperimentConfig, value, trial: int):
     jc = replace(jc, mu=mu, seed=seed)
 
     spec = RoomSpec(cfg.room, cfg.voxel)
-    if cfg.scene:
-        truth = load_scene(cfg.scene)
-        spec = truth.spec
-    else:
+    truth, cb, geom = cfg.files
+    if truth is None:
         truth = random_scene(spec, cfg.sparsity, seed)
-
-    if cfg.codebook and cfg.sweep != "n_users":
-        cb = load_codebook(cfg.codebook)
-        n_users = cb.n_users
-    else:
+    if cb is None:
         cb = build_codebook(n_users, cfg.n_ores, m=cfg.m, d_v=cfg.d_v)
-
-    if cfg.geometry:
-        geom = load_geometry(cfg.geometry)
-        if geom.users.shape[0] != n_users:
-            raise SweepError(
-                f"geometry file has {geom.users.shape[0]} users, sweep point needs {n_users}"
-            )
-    else:
+    if geom is None:
         geom = default_geometry(n_users, cfg.n_antennas, cfg.room, seed)
 
     grid = OreGrid.uniform_band(cfg.n_ores)
@@ -269,15 +306,14 @@ def _fmt(v):
 
 
 class PointResult(NamedTuple):
-    """One sweep point's run and scene spec, or the error that failed it."""
+    """One sweep point's run, or the error that failed it."""
 
     run: RunTrace | None
-    spec: RoomSpec | None
     error: tuple | None  # (exception type name, message) of a failed point
 
 
 # A point that fails on its inputs or numerics; anything else is a bug.
-_POINT_ERRORS = (ValueError, SweepError, GampDivergence, np.linalg.LinAlgError)
+_POINT_ERRORS = (ValueError, GampDivergence, np.linalg.LinAlgError)
 
 
 def _run_point(cfg: ExperimentConfig, value, trial: int) -> PointResult:
@@ -291,8 +327,8 @@ def _run_point(cfg: ExperimentConfig, value, trial: int) -> PointResult:
         truth, links, cb, prior, jc = build_system(cfg, value, trial)
         run = JointRunner(truth, links, cb, prior, jc).run()
     except _POINT_ERRORS as exc:
-        return PointResult(None, None, (type(exc).__name__, str(exc)))
-    return PointResult(run, truth.spec, None)
+        return PointResult(None, (type(exc).__name__, str(exc)))
+    return PointResult(run, None)
 
 
 def _usable_cpus() -> int:
@@ -389,16 +425,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     """Run the sweep and write trace.csv / summary.csv / scene snapshots.
 
     The (value, trial) points run on the usable CPUs (see run_points); the
-    outputs and log calls do not depend on how many there are. A sweep point
-    that fails on its inputs or numerics (ValueError, SweepError,
-    GampDivergence, LinAlgError) is reported (via log, default print),
-    written to failures.csv and skipped; the remaining points still run. Any
-    other exception is a bug and propagates. Returns the list of output
-    paths.
+    outputs and log calls do not depend on how many there are. The files
+    the config names are read and checked first (cfg.files), so a bad file
+    raises before any output is written. A sweep point that fails on its
+    inputs or numerics (ValueError, GampDivergence, LinAlgError) is reported
+    (via log, default print), written to failures.csv and skipped; the
+    remaining points still run, and SweepError is raised after the outputs
+    are written if every point failed. Any other exception is a bug and
+    propagates. Returns the list of output paths.
     """
+    cfg.files  # read and check the named files before writing anything
     log = log or print
     out = output_dir or os.environ.get("JCAS_OUTPUT_DIR") or cfg.output
     os.makedirs(out, exist_ok=True)
+    spec = RoomSpec(cfg.room, cfg.voxel)
     tfields = _TRACE_FIELDS + (("wall_ms",) if cfg.record_timing else ())
     tcols = ["axis", "value", "trial", *tfields]
     trace_rows, summary_rows, paths = [], [], []
@@ -409,9 +449,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
 
     for value in cfg.values:
         finals_mse, finals_ser, finals_post = [], [], []
-        first_x, first_spec = None, None
+        first_x = None
         for trial in range(cfg.trials):
-            run, spec, error = next(results)
+            run, error = next(results)
             if error is not None:
                 # report and keep sweeping
                 failures.append(
@@ -433,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             if post:
                 finals_post.append(float(np.mean(post)))
             if first_x is None:
-                first_x, first_spec = run.x_final, spec
+                first_x = run.x_final
         if not finals_mse:
             continue
 
@@ -453,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             }
         )
         spath = os.path.join(out, f"scene_{cfg.sweep}_{value}.txt")
-        save_scene(spath, ScattererField(first_spec, np.clip(first_x, 0.0, 1.0)))
+        save_scene(spath, ScattererField(spec, np.clip(first_x, 0.0, 1.0)))
         paths.append(spath)
 
     scols = [

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "RoomSpec",
     "ScattererField",
-    "voxel_center",
     "voxel_centers",
     "random_scene",
     "save_scene",
@@ -61,19 +60,6 @@ class RoomSpec:
     def n_voxels(self):
         nx, ny, nz = self.grid_shape
         return nx * ny * nz
-
-
-def voxel_center(spec: RoomSpec, index: int):
-    """Geometric center of the indexed voxel as a length-3 array (meters)."""
-    n = spec.n_voxels
-    if not 0 <= index < n:
-        raise IndexError(f"voxel index {index} out of range [0, {n})")
-    nx, ny, nz = spec.grid_shape
-    ix = index % nx
-    iy = (index // nx) % ny
-    iz = index // (nx * ny)
-    lx, ly, lz = spec.voxel_dims
-    return np.array([(ix + 0.5) * lx, (iy + 0.5) * ly, (iz + 0.5) * lz])
 
 
 def voxel_centers(spec: RoomSpec):
@@ -153,14 +139,15 @@ def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
     file_spec = RoomSpec(
         tuple(float(x) for x in head[1:4]), tuple(float(x) for x in head[5:8])
     )
-    if spec is not None and (
-        spec.room_dims != file_spec.room_dims
-        or spec.voxel_dims != file_spec.voxel_dims
-    ):
-        raise ValueError(f"{path}: scene dimensions do not match expected RoomSpec")
+    if spec is not None and file_spec != spec:
+        raise ValueError(
+            f"{path}: scene room {file_spec.room_dims} voxel {file_spec.voxel_dims} "
+            f"does not match the expected room {spec.room_dims} voxel {spec.voxel_dims}"
+        )
     spec = file_spec
     nx, ny, nz = spec.grid_shape
     vals = np.zeros(spec.n_voxels)
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
@@ -171,5 +158,9 @@ def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
             raise ValueError(f"{path}: voxel index out of range: {ln!r}")
         if not 0 <= v <= 1:
             raise ValueError(f"{path}: scattering coefficient {v} outside [0, 1]")
-        vals[ix + nx * (iy + ny * iz)] = v
+        i = ix + nx * (iy + ny * iz)
+        if i in seen:
+            raise ValueError(f"{path}: voxel listed twice: {ln!r}")
+        seen.add(i)
+        vals[i] = v
     return ScattererField(spec, vals)

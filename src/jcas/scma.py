@@ -58,6 +58,10 @@ class Codebook:
             m.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
 
+    def __reduce__(self):
+        # rebuilt through the constructor: an unpickled array is writeable
+        return Codebook, (self.matrices,)
+
     @property
     def n_users(self):
         return len(self.matrices)

@@ -175,7 +175,7 @@ def sense(
     h_tilde = np.concatenate(rows).ravel()
     if h_tilde.size == 0:
         raise ValueError("no observable channel rows in the window")
-    # lift_complex's [Re; Im] of the stacked matrices, copied from the kept rows
+    # [Re; Im] of the stacked matrices (x is real), copied from the kept rows
     n_r, n_s = records[0].channel.g.shape[1:]
     phi = np.empty((2, h_tilde.size // n_r, n_r, n_s))
     start = 0

@@ -158,3 +158,17 @@ def mpa_reference(y, h, cb, sigma2, k_it=10):
         posts[:, u, :] = p
         indices[:, u] = np.argmax(p, axis=1)
     return DecodeResult(indices, posts)
+
+
+def lift_complex(a_tilde, h_tilde):
+    """Stack [Re; Im] of a complex system so phi @ x reproduces it exactly.
+
+    x is real, so columns are not duplicated; the row count doubles.
+    """
+    a = np.asarray(a_tilde, dtype=complex)
+    h = np.asarray(h_tilde, dtype=complex)
+    if a.ndim != 2 or h.ndim != 1 or a.shape[0] != h.shape[0]:
+        raise ValueError(f"shape mismatch: A {a.shape}, H {h.shape}")
+    phi = np.vstack([a.real, a.imag])
+    y = np.concatenate([h.real, h.imag])
+    return phi, y

@@ -11,9 +11,8 @@ from jcas.gamp import (
     g_in,
     g_out,
     gamp_solve,
-    lift_complex,
 )
-from oracles import g_in_grid_search, map_support_enumeration
+from oracles import g_in_grid_search, lift_complex, map_support_enumeration
 
 _props = settings(derandomize=True, deadline=None, max_examples=25)
 

@@ -3,6 +3,7 @@ import filecmp
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -21,9 +22,10 @@ from jcas.harness import (
     default_geometry,
     run_experiment,
 )
+from jcas.channel import save_geometry
 from jcas.joint import JointConfig
-from jcas.scene import load_scene
-from jcas.scma import default_codebook, save_codebook
+from jcas.scene import RoomSpec, load_scene, random_scene, save_scene
+from jcas.scma import build_codebook, default_codebook, save_codebook
 
 SMALL_INI = """
 [experiment]
@@ -233,6 +235,119 @@ def test_build_system_applies_sweep_value(small_cfg):
     cfg_u = ExperimentConfig(sweep="n_users", values=(4,), trials=1, n_ores=4)
     _, _, cb4, _, _ = build_system(cfg_u, 4, 0)
     assert cb4.n_users == 4
+
+
+def _scenario_files(path, n_users=6, n_ores=4, n_antennas=4, room=(4.0, 4.0, 4.0)):
+    """Write a generated scene, codebook and geometry into path; their names."""
+    names = {k: str(path / f"{k}.txt") for k in ("scene", "codebook", "geometry")}
+    save_scene(names["scene"], random_scene(RoomSpec(room, (0.5, 0.5, 0.5)), 0.015, seed=2))
+    save_codebook(names["codebook"], build_codebook(n_users, n_ores))
+    save_geometry(names["geometry"], default_geometry(n_users, n_antennas, room, seed=2))
+    return names
+
+
+_FILE_INI = """
+[experiment]
+sweep = {sweep}
+values = 4 6
+trials = 1
+output = {out}
+
+[scenario]
+{name} = {path}
+n_users = 6
+n_ores = 4
+n_antennas = 4
+
+[joint]
+n_packets = 2
+n_slots = 16
+n_f = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "name, written, sweep, message",
+    [
+        ("codebook", {"n_ores": 5}, "ebn0_db", "n_ores is 5 in the file, 4 in the config"),
+        ("codebook", {"n_users": 8}, "ebn0_db", "n_users is 8 in the file, 6 in the config"),
+        ("codebook", {}, "n_users", "the file fixes n_users, so sweep cannot be n_users"),
+        ("geometry", {}, "n_users", "the file fixes n_users, so sweep cannot be n_users"),
+        ("geometry", {"n_users": 8}, "ebn0_db", "n_users is 8 in the file, 6 in the config"),
+        ("geometry", {"n_antennas": 8}, "ebn0_db", "n_antennas is 8 in the file, 4 in the config"),
+        ("geometry", {"room": (6.0, 6.0, 6.0)}, "ebn0_db",
+         r"users position \(4\.\d+, .*\) is not inside the room \(4.0, 4.0, 4.0\)"),
+        ("scene", {"room": (6.0, 6.0, 6.0)}, "ebn0_db",
+         r"scene room \(6.0, 6.0, 6.0\) voxel \(0.5, 0.5, 0.5\) does not match "
+         r"the expected room \(4.0, 4.0, 4.0\) voxel \(0.5, 0.5, 0.5\)"),
+    ],
+)
+def test_run_rejects_file_that_disagrees_with_config(
+    tmp_path, capsys, name, written, sweep, message
+):
+    """A named file that disagrees with a [scenario] field is a config error:
+    jcas run exits 1 before any point runs, naming the file, the field and
+    both values."""
+    path = _scenario_files(tmp_path, **written)[name]
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_FILE_INI.format(sweep=sweep, out=tmp_path / "out", name=name, path=path))
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err
+    assert re.search(message, err), err
+    assert not (tmp_path / "out").exists()
+    cfg = ExperimentConfig.from_file(ini)  # the config itself opens no file
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, output_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["scene", "codebook", "geometry"])
+def test_run_rejects_missing_file(tmp_path, capsys, name):
+    path = tmp_path / "missing.txt"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        _FILE_INI.format(sweep="ebn0_db", out=tmp_path / "out", name=name, path=path)
+    )
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_files_are_read_once_in_the_parent(tmp_path, monkeypatch):
+    """A config that names all three files reads each once, in the calling
+    process, whether its points run in process or on two pool workers; the
+    points use the files' objects, and the outputs do not depend on the
+    worker count."""
+    files = _scenario_files(tmp_path)
+    cfg = ExperimentConfig(
+        sweep="ebn0_db", values=(0, 10), trials=2, n_antennas=4, **files,
+        joint=JointConfig(n_packets=3, n_slots=16, n_f=2, n_b=1),
+    )
+    reads = tmp_path / "reads.txt"
+
+    def recording(load):
+        def loader(path, *args):
+            with open(reads, "a") as f:
+                f.write(f"{os.getpid()} {os.path.basename(path)}\n")
+            return load(path, *args)
+        return loader
+
+    for name in ("load_scene", "load_codebook", "load_geometry"):
+        monkeypatch.setattr(jcas.harness, name, recording(getattr(jcas.harness, name)))
+    for workers in (1, 2):
+        monkeypatch.setattr(jcas.harness, "_usable_cpus", lambda: workers)
+        reads.write_text("")
+        run_experiment(replace(cfg), output_dir=str(tmp_path / str(workers)), log=None)
+        assert sorted(reads.read_text().splitlines()) == [
+            f"{os.getpid()} {name}.txt" for name in ("codebook", "geometry", "scene")
+        ]
+    for name in ("trace.csv", "summary.csv", "scene_ebn0_db_0.txt", "scene_ebn0_db_10.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    truth, _, cb, _, _ = build_system(cfg, 0, 0)
+    scene, book, _ = cfg.files
+    assert truth is scene and cb is book
 
 
 def test_run_experiment_outputs_and_determinism(small_cfg, tmp_path):

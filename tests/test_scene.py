@@ -7,7 +7,6 @@ from jcas.scene import (
     load_scene,
     random_scene,
     save_scene,
-    voxel_center,
     voxel_centers,
 )
 
@@ -29,25 +28,21 @@ def test_nonpositive_dimensions_rejected():
 
 def test_voxel_center_indexing_is_x_fastest(room):
     # index = ix + nx*(iy + ny*iz) with nx = ny = 8
-    assert np.allclose(voxel_center(room, 0), [0.25, 0.25, 0.25])
-    assert np.allclose(voxel_center(room, 1), [0.75, 0.25, 0.25])
-    assert np.allclose(voxel_center(room, 8), [0.25, 0.75, 0.25])
-    assert np.allclose(voxel_center(room, 64), [0.25, 0.25, 0.75])
-    assert np.allclose(voxel_center(room, 511), [3.75, 3.75, 3.75])
-
-
-def test_voxel_center_out_of_range(room):
-    with pytest.raises(IndexError):
-        voxel_center(room, 512)
-    with pytest.raises(IndexError):
-        voxel_center(room, -1)
+    centers = voxel_centers(room)
+    assert np.allclose(centers[0], [0.25, 0.25, 0.25])
+    assert np.allclose(centers[1], [0.75, 0.25, 0.25])
+    assert np.allclose(centers[8], [0.25, 0.75, 0.25])
+    assert np.allclose(centers[64], [0.25, 0.25, 0.75])
+    assert np.allclose(centers[511], [3.75, 3.75, 3.75])
 
 
 def test_voxel_centers_match_scalar_version(room):
+    """Each center is that of the voxel its index unravels to, x fastest."""
     centers = voxel_centers(room)
     assert centers.shape == (512, 3)
     for i in (0, 1, 7, 8, 63, 64, 100, 511):
-        assert np.allclose(centers[i], voxel_center(room, i))
+        cell = np.unravel_index(i, room.grid_shape, order="F")
+        assert np.allclose(centers[i], (np.array(cell) + 0.5) * room.voxel_dims)
 
 
 def test_field_value_range_enforced(room):
@@ -116,4 +111,24 @@ def test_scene_load_rejects_bad_lines(tmp_path):
         load_scene(path)
     path.write_text("not a header\n")
     with pytest.raises(ValueError):
+        load_scene(path)
+
+
+def test_scene_load_mismatch_names_both_rooms(room, tmp_path):
+    path = tmp_path / "scene.txt"
+    save_scene(path, random_scene(room, 0.03, seed=5))
+    expected = RoomSpec((4.0, 4.0, 2.0), (0.5, 0.5, 0.25))
+    with pytest.raises(ValueError) as err:
+        load_scene(path, expected)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: ")
+    assert "room (4.0, 4.0, 4.0) voxel (0.5, 0.5, 0.5)" in msg
+    assert "room (4.0, 4.0, 2.0) voxel (0.5, 0.5, 0.25)" in msg
+
+
+def test_scene_load_rejects_duplicate_voxel(tmp_path):
+    """A voxel listed twice is ambiguous; the error names the second line."""
+    path = tmp_path / "scene.txt"
+    path.write_text("room 4 4 4 voxel 0.5 0.5 0.5\n1 2 3 0.5\n0 0 0 0.2\n1 2 3 0.7\n")
+    with pytest.raises(ValueError, match=r"voxel listed twice: '1 2 3 0\.7'"):
         load_scene(path)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,12 @@ def test_codebook_holds_read_only_copies():
     with pytest.raises(TypeError):
         cb.matrices[0] = src[0]
     assert factor_graph(cb) is graph
+
+
+def test_pickled_codebook_stays_read_only():
+    """A book sent to a pool worker keeps its read-only matrices and graph."""
+    cb = build_codebook(12, 7, m=4, d_v=2)
+    back = pickle.loads(pickle.dumps(cb))
+    assert all(not m.flags.writeable for m in back.matrices)
+    assert all(np.array_equal(a, b) for a, b in zip(back.matrices, cb.matrices))
+    assert factor_graph(back) == factor_graph(cb)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcas.channel import PacketChannel, random_binary_pattern
-from jcas.gamp import PriorParams, lift_complex
 from jcas.joint import JointConfig, JointRunner
 from jcas.mpa import mpa_decode, ser
 from jcas.sensing import (
@@ -16,6 +15,7 @@ from jcas.sensing import (
 )
 from jcas.scma import Codebook, build_codebook, factor_graph
 from jcas.transceiver import codeword_tensor, noise_sigma, random_frame, transmit
+from oracles import lift_complex
 
 
 def _packet(links, truth, cb, packet, sigma2, seed=5, n_slots=64):
