@@ -173,6 +173,15 @@ def _distances(a, b):
     return np.sqrt(sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1])))
 
 
+def _gains(dist, freqs):
+    """(R, P, Q) gains of a (P, Q) distance matrix at every carrier, filled
+    one carrier at a time so no second full-size copy is made."""
+    out = np.empty((len(freqs),) + dist.shape, dtype=complex)
+    for i, f in enumerate(freqs):
+        out[i] = _gain(dist, f)
+    return out
+
+
 _IRS_LINKS = {}  # {key: _irs_links result} of the last room only
 
 
@@ -187,8 +196,8 @@ def _irs_links(ap, irs, vox, freqs):
     if key not in _IRS_LINKS:
         d_ia = _distances(irs, ap)
         d_vi = _distances(vox, irs)
-        h_s1 = np.stack([_gain(d_ia, f) for f in freqs])
-        h_s2 = np.stack([_gain(d_vi, f) for f in freqs])
+        h_s1 = _gains(d_ia, freqs)
+        h_s2 = _gains(d_vi, freqs)
         h_s1.flags.writeable = False
         h_s2.flags.writeable = False
         _IRS_LINKS.clear()
@@ -224,9 +233,7 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid) -> LinkSet:
         if d <= d_min_vox:
             raise ValueError(f"degenerate geometry: {name} distance {d:.3g} m too small")
 
-    h_los = np.stack([_gain(d_ua, f) for f in freqs])
-    h_irs1 = np.stack([_gain(d_ui, f) for f in freqs])
-    h_s3 = np.stack([_gain(d_uv, f) for f in freqs])
+    h_los, h_irs1, h_s3 = (_gains(d, freqs) for d in (d_ua, d_ui, d_uv))
     return LinkSet(freqs, h_los, h_irs1, h_s1, h_s2, h_s3)
 
 

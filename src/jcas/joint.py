@@ -13,8 +13,10 @@ the record's received frame against its channel at the current image, or,
 for the genie decoder, at the true scene.
 
 The runner's window is the only per-packet store: a bounded deque of
-(PacketRecord, sent symbol indices, PacketTrace row) entries for the last n_f
-packets.
+(PacketRecord, sent symbol indices, PacketTrace row, genie channel) entries
+for the last n_f packets. The genie channel is the packet's true channel,
+computed once to transmit and kept for the genie decoder's decodes; the
+other decoders keep None there.
 """
 
 import time
@@ -122,7 +124,8 @@ class JointRunner:
             else 0.05 * np.sqrt(n_s * prior.lam)
         )
         self.sigma2 = noise_sigma(config.ebn0_db, cb)
-        # (record, sent symbol indices, trace row) of the last n_f packets
+        # (record, sent symbol indices, trace row, genie channel) of the last
+        # n_f packets
         self.window = deque(maxlen=config.n_f)
         self.x_hat = np.zeros(n_s)
         self.gate_open = False  # once held, self-iteration collapses to 1
@@ -132,13 +135,12 @@ class JointRunner:
 
     # -- decoding -----------------------------------------------------------
 
-    def _decode(self, rec: PacketRecord):
+    def _decode(self, rec: PacketRecord, h_genie):
         """Decode rec's received frame against its channel at the current
-        image (the true scene for the genie decoder); the decoded symbol
-        indices replace rec's and are returned."""
+        image, or against h_genie, its true channel, for the genie decoder;
+        the decoded symbol indices replace rec's and are returned."""
         cfg = self.config
-        x = self.truth.values if cfg.decoder == "genie" else self.x_hat
-        h = rec.channel.channel(x)
+        h = h_genie if cfg.decoder == "genie" else rec.channel.channel(self.x_hat)
         if cfg.decoder == "ml":
             decoded = ml_decode(rec.y, h, self.cb)
         else:
@@ -156,15 +158,18 @@ class JointRunner:
             self.links, random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
         )
         sent = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
+        h_true = ch.channel(self.truth.values)
         y = transmit(
-            sent, ch.channel(self.truth.values), self.cb, self.sigma2,
+            sent, h_true, self.cb, self.sigma2,
             np.random.SeedSequence((cfg.seed, 2, packet)),
         )
         rec = PacketRecord(y, sent, ch)
+        # only the genie decoder decodes against the true channel
+        h_genie = h_true if cfg.decoder == "genie" else None
         # pilot symbols are known a priori; nothing to decode
         is_pilot = packet <= cfg.n_pilot
         if not is_pilot:
-            self._decode(rec)
+            self._decode(rec, h_genie)
         trace = PacketTrace(
             packet,
             mse=np.inf,
@@ -172,8 +177,8 @@ class JointRunner:
             pilot=is_pilot,
             gate=self.gate_open,
         )
-        self.window.append((rec, sent, trace))
-        records = [r for r, _, _ in self.window]
+        self.window.append((rec, sent, trace, h_genie))
+        records = [r for r, _, _, _ in self.window]
         k_s = 1 if self.gate_open else cfg.k_s
         for it in range(k_s):
             trace.ks_used = it + 1
@@ -198,7 +203,7 @@ class JointRunner:
                 break
             if not is_pilot and it + 1 < k_s:
                 # re-decode this packet with the fresher image
-                trace.ser = ser(self._decode(rec), sent)
+                trace.ser = ser(self._decode(rec, h_genie), sent)
         trace.mse = mse(self.x_hat, self.truth.values)
         trace.wall_ms = (time.perf_counter() - t0) * 1e3
         self._x_hist.append(self.x_hat)
@@ -210,19 +215,20 @@ class JointRunner:
         Walks the window entries before the newest one, at most n_b of
         them; pilot packets are skipped (their symbols are exact). Each
         re-decode replaces the record's symbols, which drops its cached
-        estimate, and sets its trace row's ser_post_feedback. Skipped
-        entirely until packet n_b + 1, and once the image has stopped moving
-        over the feedback span (nothing left to revise).
+        estimate if they changed, and sets its trace row's
+        ser_post_feedback. Skipped entirely until packet n_b + 1, and once
+        the image has stopped moving over the feedback span (nothing left
+        to revise).
         """
         cfg = self.config
         if cfg.n_b == 0 or packet <= cfg.n_b:
             return
         if float(np.linalg.norm(self.x_hat - self._x_hist[0])) < self.eps_k:
             return
-        for rec, sent, row in list(self.window)[-cfg.n_b - 1 : -1]:
+        for rec, sent, row, h_genie in list(self.window)[-cfg.n_b - 1 : -1]:
             if row.pilot:
                 continue
-            row.ser_post_feedback = ser(self._decode(rec), sent)
+            row.ser_post_feedback = ser(self._decode(rec, h_genie), sent)
 
     def run(self) -> RunTrace:
         trace = RunTrace()

@@ -9,14 +9,16 @@ MPA layout: the B = N_R*N_T (antenna, slot) pairs are independent copies of
 the same message passing, so they form the last, contiguous axis of every
 array, antenna-major (b = n*N_T + t). FN r's likelihood table is (M^L, B)
 for its L users, the row index being their joint symbol in base M with the
-first user of lambda_r most significant; every message is (M, B). Summing out one user is then one
-einsum over a long contiguous axis, from the front ("mkb,mb->kb") or the
-back ("kmb,mb->kb") of the table.
+first user of lambda_r most significant; every message is (M, B). Viewed as
+(M^k, M^(L-k), B), a table sums its back L-k users out against their joint
+message, the Kronecker product of their messages, in one einsum over the
+long contiguous axis ("acb,cb->ab"), and its front k users likewise
+("acb,ab->cb").
 
-MPA schedule per round: for each FN, a prefix chain sums out the users from
-the front and a suffix chain from the back, one table pass each; user i's
-FN->VN message comes from the smaller of prefix[i] and suffix[i+1], with the
-users still left in it summed out. Then every VN sends each of its FNs the
+MPA schedule per round: for each FN, the users split into a front k = L // 2
+and a back; one pass over the table sums the back out and one the front,
+and each half recurses on its smaller table until one user is left, whose
+table is its FN->VN message. Then every VN sends each of its FNs the
 normalized product of its other FNs' messages, except in the last round,
 whose VN->FN messages nothing reads. Messages start uniform.
 
@@ -101,66 +103,58 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
     return DecodeResult(_combo_digits(best_idx, m, n_u).astype(int))
 
 
-def _contract_first(table, msg):
-    """Sum the leading user axis of a (M^k, B) table against msg (M, B)."""
-    m, b = msg.shape
-    return np.einsum("mkb,mb->kb", table.reshape(m, -1, b), msg)
-
-
-def _contract_last(table, msg):
-    """Sum the trailing user axis of a (M^k, B) table against msg (M, B)."""
-    m, b = msg.shape
-    return np.einsum("kmb,mb->kb", table.reshape(-1, m, b), msg)
-
-
 def _likelihood(y_r, mean, sigma_eff):
     """FN table exp(-(d2 - min d2) / sigma_eff) of shape (C, B), built in place.
 
     y_r is (N_R, N_T), mean (C, N_R); d2 = |y - mean|^2 per (combo, n, t) and
     the min runs over the combos of each (n, t), so the best row is exp(0) = 1.
-    The in-place steps round exactly like the expression. mean must be
-    C-ordered: numpy lays the difference out like its inputs, and a
-    transposed mean would put B first in memory.
+    d2 = |mean|^2 - 2 Re(conj(mean) y) + |y|^2, and the min takes out |y|^2,
+    the same for every combo of a column, so the rest is one real product
+    a @ bm: a holds [Re mean | Im mean | |mean|^2] per combo, and bm holds,
+    per antenna n, -2 Re y[n] and -2 Im y[n] in n's columns and an indicator
+    of n's columns. The division comes after the min is taken out, so a
+    floored sigma_eff scales exact differences, not raw distances.
     """
-    t = np.abs(y_r[None, :, :] - mean[:, :, None]).reshape(len(mean), -1)
-    np.square(t, out=t)
-    t -= t.min(axis=0)
-    np.negative(t, out=t)
+    n_r, n_t = y_r.shape
+    a = np.concatenate([mean.real, mean.imag, np.abs(mean) ** 2], axis=1)
+    bm = np.zeros((3, n_r, n_r, n_t))
+    ant = np.arange(n_r)
+    bm[0, ant, ant] = -2 * y_r.real
+    bm[1, ant, ant] = -2 * y_r.imag
+    bm[2, ant, ant] = 1.0
+    t = a @ bm.reshape(3 * n_r, -1)
+    np.subtract(t.min(axis=0), t, out=t)
     np.divide(t, sigma_eff, out=t)
     with np.errstate(over="ignore", under="ignore"):
         np.exp(t, out=t)
     return t
 
 
+def _joint(msgs):
+    """Kronecker product (M^k, B) of k messages (M, B), the first most significant."""
+    j = msgs[0]
+    for msg in msgs[1:]:
+        j = (j[:, None, :] * msg[None, :, :]).reshape(-1, j.shape[1])
+    return j
+
+
 def _extrinsics(table, msgs):
     """Per-user sums of one FN's table weighted by the other users' messages.
 
     table is (M^L, B) with user 0 the most significant digit; msgs[i] is user
-    i's (M, B) message. prefix[k] (users 0..k-1 summed out) and suffix[k]
-    (users k..L-1 summed out) are built as two chains; user i reads the
-    smaller of prefix[i] and suffix[i+1] and sums out the users left in it.
+    i's (M, B) message. The users split into a front k = L // 2 and a back:
+    one pass sums the back out against their joint message, one the front,
+    and each half recurses on its (M^k, B) or (M^(L-k), B) table.
     """
     n = len(msgs)
-    half = (n + 1) // 2  # users below half read the suffix chain
-    ext = [None] * n
-    t = table
-    for k in range(n, 0, -1):  # t = suffix[k]
-        if k < n:
-            t = _contract_last(t, msgs[k])
-        if k <= half:
-            e = t
-            for j in range(k - 1):
-                e = _contract_first(e, msgs[j])
-            ext[k - 1] = e
-    t = table
-    for k in range(1, n):  # t = prefix[k]
-        t = _contract_first(t, msgs[k - 1])
-        if k >= half:
-            e = t
-            for j in range(n - 1, k, -1):
-                e = _contract_last(e, msgs[j])
-            ext[k] = e
-    return ext
+    if n == 1:
+        return [table]
+    k = n // 2
+    m, b = msgs[0].shape
+    t3 = table.reshape(m**k, -1, b)
+    front = np.einsum("acb,cb->ab", t3, _joint(msgs[k:]))
+    back = np.einsum("acb,ab->cb", t3, _joint(msgs[:k]))
+    return _extrinsics(front, msgs[:k]) + _extrinsics(back, msgs[k:])
 
 
 def _normalized(p):
@@ -193,10 +187,7 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
 
     # per-FN likelihood tables over the M^L joint symbol grid of its users
     lik = []
-    for r, users in enumerate(graph.lambda_r):
-        L = len(users)
-        digits = _combo_digits(np.arange(m**L), m, L)
-        cw = np.stack([cb.matrices[u][r, digits[:, i]] for i, u in enumerate(users)])
+    for r, (users, cw) in enumerate(zip(graph.lambda_r, cb._fn_codewords)):
         mean = np.einsum("ic,in->cn", cw, h[r][list(users), :])
         lik.append(_likelihood(y_b[r], mean, sigma_eff))
 
@@ -205,7 +196,7 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
     mu_fv = {}
     for it in range(k_it):
         # FN -> VN: marginalize the likelihood grid over the other users,
-        # weighting by their incoming messages (prefix/suffix contractions)
+        # weighting by their incoming messages (half splits, see _extrinsics)
         for r, users in enumerate(graph.lambda_r):
             ext = _extrinsics(lik[r], [mu_vf[(u, r)] for u in users])
             for u, e in zip(users, ext):

@@ -104,6 +104,18 @@ class Codebook:
         )
         return FactorGraph(lam, omega)
 
+    @cached_property
+    def _fn_codewords(self) -> tuple:
+        """Per ORE r, the read-only (L, M^L) codewords its L users send on r
+        over their joint symbol grid (user 0 the most significant digit)."""
+        grids = []
+        for r, users in enumerate(self._graph.lambda_r):
+            digits = _combo_digits(np.arange(self.m ** len(users)), self.m, len(users))
+            cw = np.stack([self.matrices[u][r, digits[:, i]] for i, u in enumerate(users)])
+            cw.flags.writeable = False
+            grids.append(cw)
+        return tuple(grids)
+
 
 @dataclass(frozen=True)
 class FactorGraph:

@@ -9,11 +9,13 @@ A PacketRecord carries its packet's PacketChannel, which holds the static
 channel part and the scatter operator of the packet's IRS pattern. The
 record computes the EstimatedChannel of its current decode once and keeps
 it; sense subtracts the static part from it on the stacked pairs.
-Assigning a new decode to symbol_indices (self-iteration, feedback) drops
-the estimate. The record also keeps the lifted (Re, Im) measurement
-rows of its stacking pairs, one set per ore_mode, computed on first use;
-they depend only on the PacketChannel, so a new decode keeps them, and they
-live as long as the record stays in the window. A record is sensed against
+Assigning a decode with other symbols to symbol_indices (self-iteration,
+feedback) drops the estimate; a re-decode to the same symbols keeps it,
+since the estimate is a function of the frame, the symbols and the book.
+The record also keeps the lifted (Re, Im) measurement rows of its stacking
+pairs, one set per ore_mode, computed on first use; they depend only on
+the PacketChannel, so a new decode keeps them, and they live as long as
+the record stays in the window. A record is sensed against
 one codebook: no cache is keyed on it. sense takes any sequence of records;
 the closed loop keeps its window in a bounded deque.
 """
@@ -111,8 +113,8 @@ class PacketRecord:
     _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __setattr__(self, name, value):
-        if name == "symbol_indices":
-            # a new decode makes the estimate from the old one stale
+        if name == "symbol_indices" and not np.array_equal(value, self.__dict__.get(name)):
+            # a decode with other symbols makes the estimate from the old one stale
             super().__setattr__("_est", None)
         super().__setattr__(name, value)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from jcas.channel import PacketChannel
 from jcas.joint import JointConfig, JointRunner, RunTrace
+from jcas.mpa import mpa_decode
 from jcas.scma import build_codebook
 
 
@@ -109,6 +111,32 @@ def test_genie_decodes_every_time_with_the_true_channel(truth, links, codebook, 
     assert [p.ser_post_feedback for p in revised] == [p.ser for p in revised]
 
 
+def test_genie_computes_the_true_channel_once_per_packet(
+    monkeypatch, truth, links, codebook, prior
+):
+    """The genie decoder reuses the channel a packet was sent over for every
+    decode of that packet, forward, self-iteration and feedback alike."""
+    cfg = _cfg(decoder="genie", k_s=3, n_b=2, ebn0_db=0.0, n_packets=8, eps_k=0.0)
+    true_calls, decodes = [], []
+    channel = PacketChannel.channel
+
+    def counted_channel(self, x):
+        if x is truth.values:
+            true_calls.append(self)
+        return channel(self, x)
+
+    def counted_decode(*args, **kwargs):
+        decodes.append(1)
+        return mpa_decode(*args, **kwargs)
+
+    monkeypatch.setattr(PacketChannel, "channel", counted_channel)
+    monkeypatch.setattr("jcas.joint.mpa_decode", counted_decode)
+    trace = JointRunner(truth, links, codebook, prior, cfg).run()
+    assert len(decodes) > 2 * sum(not p.pilot for p in trace.packets)
+    assert len(true_calls) == cfg.n_packets
+    assert len({id(ch) for ch in true_calls}) == cfg.n_packets
+
+
 def test_self_iteration_gate_collapses(truth, links, codebook, prior):
     tr = JointRunner(truth, links, codebook, prior, _cfg(k_s=4, n_packets=8)).run()
     ks = tr.column("ks_used")
@@ -154,7 +182,7 @@ def test_runner_history_is_bounded(truth, links, codebook, prior):
         trace.packets.append(runner.forward_step(packet))
         images.append(runner.x_hat.copy())
         runner.feedback(packet)
-        window = [row.packet for _, _, row in runner.window]
+        window = [row.packet for _, _, row, _ in runner.window]
         assert window == list(range(max(1, packet - cfg.n_f + 1), packet + 1))
         assert len(runner._x_hist) <= cfg.n_b + 2
         # feedback's anchor is the image after packet - n_b - 1
@@ -171,10 +199,10 @@ def test_feedback_redecodes_non_pilot_packets_in_window(truth, links, codebook, 
     runner = JointRunner(truth, links, codebook, prior, cfg)
     decode, decoded = runner._decode, []
 
-    def counted(rec):
+    def counted(rec, h_genie):
         # None for the forward decode, which runs before its packet is pushed
-        decoded.append(next((row.packet for r, _, row in runner.window if r is rec), None))
-        return decode(rec)
+        decoded.append(next((row.packet for r, _, row, _ in runner.window if r is rec), None))
+        return decode(rec, h_genie)
 
     runner._decode = counted
     rows = []

@@ -168,20 +168,30 @@ def test_mpa_rejects_bad_sigma2(sigma2):
 
 @pytest.mark.parametrize("n_ant", [1, 4, 16])
 @pytest.mark.parametrize("m", [2, 4])
-@pytest.mark.parametrize("shape", [(6, 4), (20, 7)])
+@pytest.mark.parametrize("shape", [(6, 4, 2), (20, 7, 2), (14, 4, 2), (2, 2, 1)])
 def test_mpa_matches_reference(shape, m, n_ant):
     """Same decisions as the einsum reference and posteriors equal to rounding,
-    on regular (6 users, 4 OREs, d_f=3) and irregular (20 on 7, d_f 5-6) books.
+    on regular (6 users, 4 OREs, d_f=3) and irregular (20 on 7, d_f 5-6)
+    books, a book whose 7 users per ORE split unevenly (3 + 4), and one whose
+    FNs each hold a single user.
 
-    Cases: noiseless with sigma2 = 0, noisy at 4 dB with its sigma2, and the
+    Cases: noiseless with sigma2 = 0, noisy at 4 dB with its sigma2, the
     noisy frame decoded with sigma2 = 0, where only the per-slot rescale of
-    the likelihood keeps every slot's table from underflowing."""
-    cb = build_codebook(*shape, m=m, d_v=2)
+    the likelihood keeps every slot's table from underflowing, and 40 dB with
+    its sigma2, where the expanded squared distances cancel most."""
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
     h = _rand_channel(cb, n_ant, 19)
     frame = random_frame(12, cb, 0, 20)
     noisy_sigma2 = noise_sigma(4.0, cb)
     noisy = transmit(frame, h, cb, noisy_sigma2, seed=21)
-    cases = [(transmit(frame, h, cb, 0.0), 0.0), (noisy, noisy_sigma2), (noisy, 0.0)]
+    high_sigma2 = noise_sigma(40.0, cb)
+    cases = [
+        (transmit(frame, h, cb, 0.0), 0.0),
+        (noisy, noisy_sigma2),
+        (noisy, 0.0),
+        (transmit(frame, h, cb, high_sigma2, seed=22), high_sigma2),
+    ]
     for y, sigma2 in cases:
         for k_it in (1, 10):
             fast = mpa_decode(y, h, cb, sigma2, k_it)

@@ -156,6 +156,24 @@ def test_record_cache_follows_its_decode(links, truth, codebook):
         _assert_same_estimate(rec.estimate(codebook), fresh)
 
 
+def test_record_keeps_its_estimate_across_an_unchanged_redecode(links, truth, codebook):
+    """A re-decode to the same symbols keeps the estimate object; one that
+    changes a symbol drops it."""
+    sigma2 = noise_sigma(5.0, codebook)
+    ch, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
+    rec = PacketRecord(rx, frame, ch)
+    est = rec.estimate(codebook)
+    rec.symbol_indices = frame.copy()
+    assert rec.estimate(codebook) is est
+
+    changed = frame.copy()
+    changed[0, 0] = (changed[0, 0] + 1) % codebook.m
+    rec.symbol_indices = changed
+    fresh = rec.estimate(codebook)
+    assert fresh is not est
+    _assert_same_estimate(fresh, estimate_channel(rx, changed, codebook))
+
+
 def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
     records = []
     for k in range(1, 9):
