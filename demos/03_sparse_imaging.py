@@ -14,6 +14,7 @@ from jcas.channel import OreGrid, PacketChannel, calibrate_links, los_links, ran
 from jcas.gamp import PriorParams
 from jcas.harness import default_geometry
 from jcas.scene import RoomSpec, random_scene
+from jcas.scma import default_codebook
 from jcas.sensing import PacketRecord, sense
 from jcas.transceiver import noise_sigma, random_frame, transmit
 
@@ -26,8 +27,6 @@ links = calibrate_links(
     random_binary_pattern(geom.irs.shape[0], 0, 3),
     expected_scatterers=8,
 )
-from jcas.scma import default_codebook
-
 cb = default_codebook()
 sigma2 = noise_sigma(10.0, cb)
 prior = PriorParams(lam=8 / spec.n_voxels, theta=0.5, sigma_x=0.1)

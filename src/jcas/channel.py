@@ -133,7 +133,6 @@ def random_binary_pattern(n_elements: int, packet: int, seed) -> IrsPattern:
 class LinkSet:
     """The five geometric sub-channels per ORE (see module docstring)."""
 
-    frequencies: np.ndarray = field(repr=False)  # (R,)
     h_los: np.ndarray = field(repr=False)  # (R, N_u, N_R)
     h_irs1: np.ndarray = field(repr=False)  # (R, N_u, N_I)
     h_s1: np.ndarray = field(repr=False)  # (R, N_I, N_R)
@@ -234,7 +233,7 @@ def los_links(geom: Geometry, spec: RoomSpec, grid: OreGrid) -> LinkSet:
             raise ValueError(f"degenerate geometry: {name} distance {d:.3g} m too small")
 
     h_los, h_irs1, h_s3 = (_gains(d, freqs) for d in (d_ua, d_ui, d_uv))
-    return LinkSet(freqs, h_los, h_irs1, h_s1, h_s2, h_s3)
+    return LinkSet(h_los, h_irs1, h_s1, h_s2, h_s3)
 
 
 _TARGET_LOS = 1.0
@@ -266,7 +265,6 @@ def calibrate_links(links: LinkSet, reference: IrsPattern, expected_scatterers=8
     g_vox = np.sqrt(np.mean(np.abs(ch.matrices(ores, users)) ** 2))
     g_scatter = _MEAN_COEFFICIENT * np.sqrt(expected_scatterers) * g_vox
     return LinkSet(
-        links.frequencies,
         links.h_los * (_TARGET_LOS / g_los),
         links.h_irs1 * (_TARGET_IRS / g_irs),
         links.h_s1,

@@ -534,12 +534,17 @@ def load_tolerances(path):
     """Tolerance file: one 'column relative_tolerance' pair per line."""
     tols = {}
     with open(path) as f:
-        for ln in f:
+        for lineno, ln in enumerate(f, 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            name, tol = ln.split()
-            tols[name] = float(tol)
+            try:
+                name, tol = ln.split()
+                tols[name] = float(tol)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'column relative_tolerance', got {ln!r}"
+                ) from None
     return tols
 
 

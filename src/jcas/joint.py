@@ -112,6 +112,13 @@ class JointRunner:
         self.cb = cb
         self.prior = prior
         self.config = config
+        for what, have, want in (
+            ("codebook users", cb.n_users, links.n_users),
+            ("codebook OREs", cb.n_ores, links.n_ores),
+            ("scene voxels", truth.spec.n_voxels, links.n_voxels),
+        ):
+            if have != want:
+                raise ValueError(f"{what} ({have}) != the links' ({want})")
         if config.n_slots < cb.max_d_f:
             raise ValueError(
                 f"n_slots ({config.n_slots}) must be >= the codebook's largest "

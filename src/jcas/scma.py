@@ -3,7 +3,8 @@
 Each user owns an R x M matrix of sparse codewords: all M columns share the
 same d_v nonzero rows (the user's OREs). Codebook *design* is treated as
 data: the default book is generated from phase-rotated QPSK symbols, and
-arbitrary books can be loaded from file.
+arbitrary books can be loaded from file. A Codebook is checked when it is
+built, and carries the factor graph of its supports from then on.
 """
 
 import itertools
@@ -18,7 +19,6 @@ __all__ = [
     "CodebookError",
     "build_codebook",
     "default_codebook",
-    "validate_codebook",
     "factor_graph",
     "save_codebook",
     "load_codebook",
@@ -29,6 +29,14 @@ class CodebookError(ValueError):
     """A structural codebook invariant is violated."""
 
 
+@dataclass(frozen=True)
+class FactorGraph:
+    """FN/VN adjacency: lambda_r[r] = users on ORE r, omega_u[u] = user u's OREs."""
+
+    lambda_r: tuple
+    omega_u: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Per-user sparse codeword matrices.
@@ -37,13 +45,15 @@ class Codebook:
     the largest per-ORE user count (the common d_f of a regular book, where
     d_f * R = d_v * N_u).
 
-    A book is immutable: matrices is a tuple of read-only copies of the
-    inputs, so the factor graph (validated and built on first use, see
-    factor_graph) stays true to it. Construction checks shapes only; a
-    structurally invalid book is rejected when its graph is first asked for.
+    A book is immutable and valid from construction: matrices holds read-only
+    copies of the inputs, and CodebookError is raised unless M >= 2, each
+    user's codewords are all nonzero on the same d_v >= 1 rows (its support),
+    d_v is common to all users, and the ORE loads are balanced (all d_f, or
+    within one of d_v * N_u / R). graph is the FactorGraph of the supports.
     """
 
     matrices: tuple = field(repr=False)
+    graph: FactorGraph = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = tuple(np.array(m, dtype=complex) for m in self.matrices)
@@ -57,6 +67,36 @@ class Codebook:
                 raise CodebookError(f"user {u}: codeword matrix shape {m.shape} != {shape}")
             m.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
+        n_ores, n_cw = shape
+        if n_cw < 2:
+            raise CodebookError(f"need M >= 2 codewords per user, got {n_cw}")
+        omega = []
+        for u, mat in enumerate(mats):
+            nz = mat != 0
+            sup = tuple(np.flatnonzero(nz.any(axis=1)))
+            d_v = len(omega[0]) if omega else len(sup)
+            if d_v < 1:
+                raise CodebookError("user 0: codewords have no nonzero rows")
+            if len(sup) != d_v:
+                raise CodebookError(f"user {u}: support size {len(sup)} != d_v {d_v}")
+            short = np.flatnonzero(~nz[list(sup)].all(axis=0))  # codewords missing a row
+            if short.size:
+                m = int(short[0])
+                raise CodebookError(
+                    f"user {u} codeword {m}: nonzero rows {tuple(np.flatnonzero(nz[:, m]))} "
+                    f"do not match the user support {sup}"
+                )
+            omega.append(sup)
+        lam = tuple(tuple(u for u, sup in enumerate(omega) if r in sup) for r in range(n_ores))
+        lo, rem = divmod(d_v * len(mats), n_ores)
+        for r, users in enumerate(lam):
+            if not rem and len(users) != lo:
+                raise CodebookError(f"ORE {r}: used by {len(users)} users, expected d_f = {lo}")
+            if rem and len(users) not in (lo, lo + 1):
+                raise CodebookError(
+                    f"ORE {r}: load {len(users)} outside balanced range [{lo}, {lo + 1}]"
+                )
+        object.__setattr__(self, "graph", FactorGraph(lam, tuple(omega)))
 
     def __reduce__(self):
         # rebuilt through the constructor: an unpickled array is writeable
@@ -77,58 +117,27 @@ class Codebook:
 
     def support(self, u):
         """Row indices where user u's codewords are nonzero."""
-        return tuple(np.flatnonzero(np.any(self.matrices[u] != 0, axis=1)))
+        return self.graph.omega_u[u]
 
     @property
     def d_v(self):
-        return len(self.support(0))
+        return len(self.graph.omega_u[0])
 
     @property
     def max_d_f(self):
-        return int(max(self._ore_loads()))
-
-    def _ore_loads(self):
-        loads = [0] * self.n_ores
-        for u in range(self.n_users):
-            for r in self.support(u):
-                loads[r] += 1
-        return loads
-
-    @cached_property
-    def _graph(self) -> "FactorGraph":
-        validate_codebook(self)
-        omega = tuple(self.support(u) for u in range(self.n_users))
-        lam = tuple(
-            tuple(u for u in range(self.n_users) if r in omega[u])
-            for r in range(self.n_ores)
-        )
-        return FactorGraph(lam, omega)
+        return max(len(users) for users in self.graph.lambda_r)
 
     @cached_property
     def _fn_codewords(self) -> tuple:
         """Per ORE r, the read-only (L, M^L) codewords its L users send on r
         over their joint symbol grid (user 0 the most significant digit)."""
         grids = []
-        for r, users in enumerate(self._graph.lambda_r):
+        for r, users in enumerate(self.graph.lambda_r):
             digits = _combo_digits(np.arange(self.m ** len(users)), self.m, len(users))
             cw = np.stack([self.matrices[u][r, digits[:, i]] for i, u in enumerate(users)])
             cw.flags.writeable = False
             grids.append(cw)
         return tuple(grids)
-
-
-@dataclass(frozen=True)
-class FactorGraph:
-    """FN/VN adjacency: lambda_r[r] = users on ORE r, omega_u[u] = user u's OREs."""
-
-    lambda_r: tuple
-    omega_u: tuple
-
-
-def _check_m(m):
-    """A book needs M >= 2 codewords per user to carry information."""
-    if m < 2:
-        raise CodebookError(f"need M >= 2 codewords per user, got {m}")
 
 
 def _combo_digits(idx, m, n):
@@ -172,7 +181,8 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
     """
     if d_v > n_ores:
         raise CodebookError("d_v cannot exceed the number of OREs")
-    _check_m(m)  # before the phases below divide by m
+    if m < 2:  # before the phases below divide by m
+        raise CodebookError(f"need M >= 2 codewords per user, got {m}")
     supports = _balanced_supports(n_users, n_ores, d_v)
     # per-ORE rotation slot for each of its users
     rot_index = {}
@@ -191,9 +201,7 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
             rot = rot_index[(u, r)] * 2 * np.pi / (m * loads[r])
             cm[r, :] = amp * np.exp(1j * (sign * 2 * np.pi * ms / m + rot))
         mats.append(cm)
-    cb = Codebook(mats)
-    validate_codebook(cb)
-    return cb
+    return Codebook(mats)
 
 
 def default_codebook() -> Codebook:
@@ -201,52 +209,10 @@ def default_codebook() -> Codebook:
     return build_codebook(6, 4, m=4, d_v=2)
 
 
-def validate_codebook(cb: Codebook):
-    """Check all structural invariants; raises CodebookError on the first violation."""
-    _check_m(cb.m)
-    d_v = cb.d_v
-    if d_v < 1:
-        raise CodebookError("user 0: codewords have no nonzero rows")
-    for u in range(cb.n_users):
-        mat = cb.matrices[u]
-        sup = cb.support(u)
-        if len(sup) != d_v:
-            raise CodebookError(
-                f"user {u}: support size {len(sup)} != d_v {d_v}"
-            )
-        for m in range(cb.m):
-            nz = np.flatnonzero(mat[:, m] != 0)
-            if len(nz) != d_v or tuple(nz) != sup:
-                raise CodebookError(
-                    f"user {u} codeword {m}: nonzero rows {tuple(nz)} "
-                    f"do not match the user support {sup}"
-                )
-    loads = cb._ore_loads()
-    total = cb.d_v * cb.n_users
-    if total % cb.n_ores == 0:
-        d_f = total // cb.n_ores
-        for r, L in enumerate(loads):
-            if L != d_f:
-                raise CodebookError(
-                    f"ORE {r}: used by {L} users, expected d_f = {d_f}"
-                )
-    else:
-        lo, hi = total // cb.n_ores, total // cb.n_ores + 1
-        for r, L in enumerate(loads):
-            if L not in (lo, hi):
-                raise CodebookError(
-                    f"ORE {r}: load {L} outside balanced range [{lo}, {hi}]"
-                )
-
-
 def factor_graph(cb: Codebook) -> FactorGraph:
-    """FN/VN adjacency induced by codeword supports.
-
-    Validated and built once per book, on the first call, and returned from
-    the book's cache after that. An invalid book raises CodebookError on
-    every call and caches nothing.
-    """
-    return cb._graph
+    """FN/VN adjacency induced by the codeword supports: the graph the book
+    built when it was constructed."""
+    return cb.graph
 
 
 def _fmt_complex(z):
@@ -287,7 +253,6 @@ def load_codebook(path) -> Codebook:
             cm[:, mi] = [complex(p) for p in parts]
         mats.append(cm)
     cb = Codebook(mats)
-    validate_codebook(cb)
     if cb.d_v != d_v:
         raise CodebookError(f"{path}: header d_v {d_v} != actual {cb.d_v}")
     return cb

@@ -16,6 +16,7 @@ import jcas.harness
 from jcas.cli import main
 from jcas.harness import (
     ExperimentConfig,
+    SweepError,
     build_system,
     child_seed,
     compare_traces,
@@ -489,6 +490,44 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert trace.exists()
     assert main(["compare", str(trace), str(trace)]) == 0
     assert main(["run", str(tmp_path / "missing.ini")]) == 1
+
+
+@pytest.mark.parametrize(
+    "entry", ["ser 0.1 extra", "ser", "ser abc"], ids=["too-many", "too-few", "not-a-number"]
+)
+def test_cli_compare_names_a_malformed_tolerance_line(tmp_path, capsys, entry):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("# jcas-trace-v1\nser\n0.5\n")
+    tols = tmp_path / "tols.txt"
+    tols.write_text(f"# tolerances\nmse 0.01\n{entry}\n")
+    assert main(["compare", str(trace), str(trace), "--tol-file", str(tols)]) == 1
+    assert f"{tols}: line 3: " in capsys.readouterr().err
+
+
+def test_all_failed_sweep_writes_outputs_then_raises(tmp_path):
+    cfg = ExperimentConfig(
+        sweep="n_users",
+        values=(300,),  # 300 users cannot be placed / built
+        trials=1,
+        n_ores=4,
+        output=str(tmp_path / "out"),
+        joint=JointConfig(n_packets=2, n_slots=64, n_f=2),
+    )
+    with pytest.raises(SweepError, match="all sweep points failed"):
+        run_experiment(cfg, log=lambda msg: None)
+    out = tmp_path / "out"
+    assert {"trace.csv", "summary.csv", "failures.csv"} <= set(os.listdir(out))
+    with open(out / "summary.csv", newline="") as f:
+        assert f.readline() == "# jcas-summary-v1\n"
+        assert len(list(csv.reader(f))) == 1  # header only
+    with open(out / "failures.csv", newline="") as f:
+        assert len(list(csv.reader(f))) == 3  # schema, header, the one failure
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        f"[experiment]\nsweep = n_users\nvalues = 300\ntrials = 1\noutput = {out}\n"
+        "[scenario]\nn_ores = 4\n[joint]\nn_packets = 2\nn_slots = 64\nn_f = 2\n"
+    )
+    assert main(["run", str(ini)]) == 2
 
 
 def test_cli_validate(tmp_path):

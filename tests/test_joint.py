@@ -4,6 +4,7 @@ import pytest
 from jcas.channel import PacketChannel
 from jcas.joint import JointConfig, JointRunner, RunTrace
 from jcas.mpa import mpa_decode
+from jcas.scene import RoomSpec, random_scene
 from jcas.scma import build_codebook
 
 
@@ -227,3 +228,24 @@ def test_runner_rejects_fewer_slots_than_largest_d_f(truth, links, codebook, pri
     with pytest.raises(ValueError, match=r"n_slots \(2\).*max_d_f = 3"):
         JointRunner(truth, links, codebook, prior, _cfg(n_slots=2))
     JointRunner(truth, links, codebook, prior, _cfg(n_slots=3))
+
+
+@pytest.mark.parametrize(
+    "swap, match",
+    [
+        ("codebook", r"codebook users \(8\) != the links' \(6\)"),
+        ("ores", r"codebook OREs \(5\) != the links' \(4\)"),
+        ("scene", r"scene voxels \(64\) != the links' \(512\)"),
+    ],
+)
+def test_runner_rejects_inputs_that_disagree_with_the_links(
+    truth, links, codebook, prior, swap, match
+):
+    if swap == "codebook":
+        codebook = build_codebook(8, 4)
+    elif swap == "ores":
+        codebook = build_codebook(6, 5)
+    else:
+        truth = random_scene(RoomSpec((2.0, 2.0, 2.0), (0.5, 0.5, 0.5)), 0.05, seed=1)
+    with pytest.raises(ValueError, match=match):
+        JointRunner(truth, links, codebook, prior, _cfg())

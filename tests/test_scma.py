@@ -11,7 +11,6 @@ from jcas.scma import (
     factor_graph,
     load_codebook,
     save_codebook,
-    validate_codebook,
 )
 
 
@@ -50,16 +49,14 @@ def test_colliding_users_are_distinguishable():
 def test_balanced_irregular_book():
     # d_v * N_u = 2 * 12 = 24, R = 7 -> no integer d_f; loads must be 3 or 4
     cb = build_codebook(12, 7, m=4, d_v=2)
-    loads = cb._ore_loads()
+    loads = [len(users) for users in factor_graph(cb).lambda_r]
     assert set(loads) == {3, 4}
     assert cb.max_d_f == 4
-    validate_codebook(cb)
 
 
 def test_support_reuse_allowed_when_needed():
     cb = build_codebook(2, 2, m=2, d_v=2)  # only one possible support
     assert cb.support(0) == cb.support(1)
-    validate_codebook(cb)
 
 
 def test_build_rejects_impossible_dv():
@@ -75,7 +72,7 @@ def test_build_rejects_fewer_than_two_codewords(m):
 
 def test_load_rejects_one_codeword_book(tmp_path):
     """A structurally regular book with M = 1 has no information per symbol;
-    validation rejects it, so loading it fails."""
+    the constructor rejects it, so loading it fails."""
     path = tmp_path / "cb.txt"
     path.write_text("scma 2 2 1 2\n0.7+0j 0.7+0j\n0.7+0j 0.7j\n")
     with pytest.raises(CodebookError, match="M >= 2"):
@@ -87,7 +84,7 @@ def test_validate_catches_support_mismatch():
     mats = [m.copy() for m in cb.matrices]
     mats[0][cb.support(0)[0], 1] = 0.0  # kill one entry of one codeword
     with pytest.raises(CodebookError):
-        validate_codebook(Codebook(mats))
+        Codebook(mats)
 
 
 def test_validate_catches_unbalanced_loads():
@@ -97,7 +94,43 @@ def test_validate_catches_unbalanced_loads():
     mat[0] = [amp, -amp]
     mat[1] = [amp, -amp]
     with pytest.raises(CodebookError):
-        validate_codebook(Codebook([mat, mat * 1j]))
+        Codebook([mat, mat * 1j])
+
+
+def _book(*supports, m=2, n_ores=3):
+    """One (n_ores, m) matrix per user, nonzero on its support rows."""
+    mats = []
+    for u, sup in enumerate(supports):
+        mat = np.zeros((n_ores, m), dtype=complex)
+        mat[list(sup)] = np.exp(1j * (np.arange(m) + u))
+        mats.append(mat)
+    return mats
+
+
+def _codeword_with_a_zero():
+    cb = default_codebook()
+    mats = [m.copy() for m in cb.matrices]
+    mats[0][cb.support(0)[0], 1] = 0.0  # kill one entry of one codeword
+    return mats
+
+
+@pytest.mark.parametrize(
+    "mats, match",
+    [
+        (_book((0, 1), (1, 2), (0, 2), m=1), r"need M >= 2 codewords per user, got 1"),
+        (_book((), (0, 1)), r"user 0: codewords have no nonzero rows"),
+        (_book((0, 1), ()), r"user 1: support size 0 != d_v 2"),
+        (_codeword_with_a_zero(), r"user 0 codeword 1: nonzero rows .* do not match the user support"),
+        (_book((0, 1), (1, 2), (0,)), r"user 2: support size 1 != d_v 2"),
+        (_book((0, 1), (0, 1), (0, 1)), r"ORE 0: used by 3 users, expected d_f = 2"),
+        (_book((0, 1), (0, 1)), r"ORE 2: load 0 outside balanced range \[1, 2\]"),
+    ],
+    ids=["one-codeword", "empty-support", "empty-later-support", "codeword-support-mismatch",
+         "unequal-d_v", "unbalanced-regular", "unbalanced-irregular"],
+)
+def test_constructor_rejects_invalid_book(mats, match):
+    with pytest.raises(CodebookError, match=match):
+        Codebook(mats)
 
 
 def test_factor_graph_adjacency_consistent():
@@ -139,17 +172,6 @@ def test_factor_graph_is_built_once_per_book():
     cb = build_codebook(12, 7, m=4, d_v=2)
     assert factor_graph(cb) is factor_graph(cb)
     assert factor_graph(default_codebook()) is not factor_graph(cb)
-
-
-def test_factor_graph_rejects_invalid_book_on_every_call():
-    amp = 1 / np.sqrt(2)
-    mat = np.zeros((3, 2), dtype=complex)
-    mat[0] = [amp, -amp]
-    mat[1] = [amp, -amp]
-    cb = Codebook([mat, mat * 1j])  # unbalanced loads (2, 2, 0)
-    for _ in range(2):
-        with pytest.raises(CodebookError):
-            factor_graph(cb)
 
 
 def test_codebook_holds_read_only_copies():
