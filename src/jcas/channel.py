@@ -344,10 +344,11 @@ def load_geometry(path) -> Geometry:
                 continue
             if current is None:
                 raise ValueError(f"{path}: position line before any section header")
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed position line: {ln!r}")
-            sections[current].append([float(p) for p in parts])
+            try:
+                x, y, z = (float(p) for p in ln.split())
+            except ValueError:  # a malformed number or not three fields
+                raise ValueError(f"{path}: malformed position line: {ln!r}") from None
+            sections[current].append([x, y, z])
     for name, pts in sections.items():
         if not pts:
             raise ValueError(f"{path}: missing or empty section {name!r}")

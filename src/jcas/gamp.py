@@ -21,7 +21,6 @@ __all__ = [
     "GampDivergence",
     "g_in",
     "g_out",
-    "map_objective",
     "gamp_solve",
 ]
 
@@ -138,7 +137,7 @@ class GampResult:
     converged: bool = False
 
 
-def map_objective(phi, y, x, q: PriorParams) -> float:
+def _map_objective(phi, y, x, q: PriorParams) -> float:
     """Log of the (unnormalized) MAP objective at a candidate x.
 
     Coordinates at exactly 0 take the spike mass; nonzero coordinates take
@@ -287,7 +286,7 @@ def gamp_solve(
     best_x, best_obj = None, -np.inf
     for sup in proposals:
         cand = _polish_support(phi, y, q, sup)
-        obj = map_objective(phi, y, cand, q)
+        obj = _map_objective(phi, y, cand, q)
         if obj > best_obj:
             best_x, best_obj = cand, obj
     residual = float(np.sum((y - phi @ best_x) ** 2))

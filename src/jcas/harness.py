@@ -45,7 +45,7 @@ from .channel import (
     load_geometry,
     random_binary_pattern,
 )
-from .gamp import GampDivergence, PriorParams
+from .gamp import PriorParams
 from .joint import JointConfig, JointRunner, RunTrace
 from .scene import RoomSpec, ScattererField, load_scene, random_scene, save_scene
 from .scma import build_codebook, load_codebook
@@ -76,6 +76,12 @@ _IRS_SIDE = 20  # side of default_geometry's square IRS panel, in elements
 _TRACE_FIELDS = (
     "packet", "mse", "ser", "ser_post_feedback", "gate", "ks_used", "diverged",
 )
+# summary.csv and failures.csv columns; run_experiment builds rows in this order
+_SUMMARY_COLUMNS = (
+    "axis", "value", "trials", "mse_median", "mse_iqr",
+    "ser_median", "ser_iqr", "ser_post_median",
+)
+_FAILURE_COLUMNS = ("axis", "value", "trial", "error", "message")
 
 
 class SweepError(RuntimeError):
@@ -173,8 +179,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Read a config file; every key is read as its field's type, and an
-        unknown section or key raises ValueError naming the file."""
+        """Read a config file; every key is read as its field's type. An
+        unknown section or key, or a value that is not of its field's type,
+        raises ValueError naming the file (and the section, key and value)."""
         cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
         with open(path) as f:
             cp.read_file(f)
@@ -191,7 +198,12 @@ class ExperimentConfig:
             for key in cp[name]:
                 if key not in sections[name]:
                     raise ValueError(f"{path}: unknown [{name}] key {key!r}")
-                kw[name][key] = _parse_value(cp[name], key, sections[name][key])
+                try:
+                    kw[name][key] = _parse_value(cp[name], key, sections[name][key])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: [{name}] {key} = {cp[name][key]!r}: {exc}"
+                    ) from None
         return cls(
             **kw["experiment"], **kw["scenario"], joint=JointConfig(**kw["joint"])
         )
@@ -313,15 +325,16 @@ class PointResult(NamedTuple):
 
 
 # A point that fails on its inputs or numerics; anything else is a bug.
-_POINT_ERRORS = (ValueError, GampDivergence, np.linalg.LinAlgError)
+# (JointRunner handles a GAMP divergence itself: the packet's trace marks it.)
+_POINT_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
 def _run_point(cfg: ExperimentConfig, value, trial: int) -> PointResult:
     """Build and run one (value, trial) point.
 
-    The point's own failures are caught here, inside the worker, because
-    GampDivergence cannot be unpickled in the parent; they come back as
-    (type name, message). CodebookError is a ValueError.
+    The point's own failures are caught here, inside the worker, and come
+    back as (type name, message), so the rest of the sweep still runs.
+    CodebookError is a ValueError.
     """
     try:
         truth, links, cb, prior, jc = build_system(cfg, value, trial)
@@ -339,7 +352,7 @@ def _usable_cpus() -> int:
 
 
 # OpenBLAS's thread-count setter under its plain, 64-bit-integer and
-# scipy-openblas (numpy's wheels) symbol names; the getter is named alike
+# scipy-openblas (numpy's wheels) symbol names
 _BLAS_SET_THREADS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
@@ -347,71 +360,51 @@ _BLAS_SET_THREADS = (
 )
 
 
-def _openblas_threads() -> list:
-    """(get, set) thread-count functions of each OpenBLAS this process has
-    mapped; empty where there is none."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = {ln.split()[-1] for ln in f if "openblas" in ln}
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in _BLAS_SET_THREADS:
-            get_name = name.replace("_set_", "_get_")
-            if hasattr(lib, name) and hasattr(lib, get_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                controls.append((getter, setter))
-                break
-    return controls
-
-
 def _one_blas_thread():
-    """Pool-worker initializer: one OpenBLAS thread in this worker.
+    """Pool-worker initializer: one thread in each OpenBLAS this worker has
+    mapped (none where there is none).
 
     A forked worker keeps the caller's BLAS thread count; with a worker on
     every usable CPU, more BLAS threads only contend for the same cores.
     Results do not depend on the count.
     """
-    for _, setter in _openblas_threads():
-        setter(1)
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {ln.split()[-1] for ln in f if "openblas" in ln}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def run_points(cfg: ExperimentConfig, points) -> list:
     """Run (value, trial) points of cfg; PointResults in the order of points.
 
-    Uses one worker process per usable CPU, at most one per point, and runs
-    in this process when that is one. Workers are forked: they import
-    nothing again and inherit the caller's state, and callers need no
-    __main__ guard. Each point runs with one BLAS thread; in process, the
-    caller's count is restored afterwards. Each point is a pure function of
-    its child seed, so the results do not depend on the number of workers.
-    A bug in a point propagates with its own type, after the pool has shut
+    Every point runs in a worker process, one per usable CPU and at most one
+    per point, with one BLAS thread; the calling process runs none, so its
+    own state, its BLAS thread count included, is never touched. Workers are
+    forked: they import nothing again and inherit the caller's state, and
+    callers need no __main__ guard. Each point is a pure function of its
+    child seed, so the results do not depend on the number of workers. A
+    bug in a point propagates with its own type, after the pool has shut
     down and its pending points are cancelled.
     """
     points = list(points)
-    workers = min(len(points), _usable_cpus())
-    if workers <= 1:
-        # a second BLAS thread buys the loop no speed, only CPU time
-        blas = _openblas_threads()
-        counts = [getter() for getter, _ in blas]
-        for _, setter in blas:
-            setter(1)
-        try:
-            return [_run_point(cfg, value, trial) for value, trial in points]
-        finally:
-            for (_, setter), count in zip(blas, counts):
-                setter(count)
+    if not points:
+        return []
     # imported here: they add about 5% to the import time of jcas
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     values, trials = zip(*points)
     pool = ProcessPoolExecutor(
-        workers,
+        min(len(points), _usable_cpus()),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_one_blas_thread,
     )
@@ -428,10 +421,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     outputs and log calls do not depend on how many there are. The files
     the config names are read and checked first (cfg.files), so a bad file
     raises before any output is written. A sweep point that fails on its
-    inputs or numerics (ValueError, GampDivergence, LinAlgError) is reported
-    (via log, default print), written to failures.csv and skipped; the
-    remaining points still run, and SweepError is raised after the outputs
-    are written if every point failed. Any other exception is a bug and
+    inputs or numerics (ValueError, LinAlgError) is reported (via log,
+    default print), written to failures.csv and skipped; the remaining
+    points still run, and SweepError is raised after the outputs are
+    written if every point failed. Any other exception is a bug and
     propagates. Returns the list of output paths.
     """
     cfg.files  # read and check the named files before writing anything
@@ -440,9 +433,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
     os.makedirs(out, exist_ok=True)
     spec = RoomSpec(cfg.room, cfg.voxel)
     tfields = _TRACE_FIELDS + (("wall_ms",) if cfg.record_timing else ())
-    tcols = ["axis", "value", "trial", *tfields]
-    trace_rows, summary_rows, paths = [], [], []
-    failures = []
+    tcols = ("axis", "value", "trial", *tfields)
+    trace_rows, summary_rows, failures, paths = [], [], [], []
     results = iter(
         run_points(cfg, [(v, t) for v in cfg.values for t in range(cfg.trials)])
     )
@@ -454,15 +446,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             run, error = next(results)
             if error is not None:
                 # report and keep sweeping
-                failures.append(
-                    {"axis": cfg.sweep, "value": value, "trial": trial,
-                     "error": error[0], "message": error[1]}
-                )
+                failures.append((cfg.sweep, value, trial, *error))
                 log(f"sweep point {cfg.sweep}={value} trial {trial} failed: {error[1]}")
                 continue
             for p in run.packets:
-                cells = (cfg.sweep, value, trial, *(getattr(p, f) for f in tfields))
-                trace_rows.append(dict(zip(tcols, cells)))
+                trace_rows.append((cfg.sweep, value, trial, *(getattr(p, f) for f in tfields)))
             finals_mse.append(run.packets[-1].mse)
             finals_ser.append(float(np.mean(run.column("ser"))))
             post = [
@@ -481,32 +469,21 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             q1, q2, q3 = np.percentile(a, [25, 50, 75])
             return float(q2), float(q3 - q1)
 
-        mse_med, mse_iqr = med_iqr(finals_mse)
-        ser_med, ser_iqr = med_iqr(finals_ser)
         post_med = med_iqr(finals_post)[0] if finals_post else None
-        summary_rows.append(
-            {
-                "axis": cfg.sweep, "value": value, "trials": len(finals_mse),
-                "mse_median": mse_med, "mse_iqr": mse_iqr,
-                "ser_median": ser_med, "ser_iqr": ser_iqr,
-                "ser_post_median": post_med,
-            }
-        )
+        summary_rows.append((
+            cfg.sweep, value, len(finals_mse),
+            *med_iqr(finals_mse), *med_iqr(finals_ser), post_med,
+        ))
         spath = os.path.join(out, f"scene_{cfg.sweep}_{value}.txt")
         save_scene(spath, ScattererField(spec, np.clip(first_x, 0.0, 1.0)))
         paths.append(spath)
 
-    scols = [
-        "axis", "value", "trials", "mse_median", "mse_iqr",
-        "ser_median", "ser_iqr", "ser_post_median",
-    ]
     tables = [
         ("trace.csv", TRACE_SCHEMA, tcols, trace_rows),
-        ("summary.csv", SUMMARY_SCHEMA, scols, summary_rows),
+        ("summary.csv", SUMMARY_SCHEMA, _SUMMARY_COLUMNS, summary_rows),
     ]
     if failures:
-        fcols = ["axis", "value", "trial", "error", "message"]
-        tables.append(("failures.csv", FAILURES_SCHEMA, fcols, failures))
+        tables.append(("failures.csv", FAILURES_SCHEMA, _FAILURE_COLUMNS, failures))
     for name, schema, cols, rows in tables:
         path = os.path.join(out, name)
         with open(path, "w", newline="") as f:
@@ -514,10 +491,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             w = csv.writer(f)
             w.writerow(cols)
             for row in rows:
-                w.writerow([_fmt(row.get(c)) for c in cols])
+                w.writerow([_fmt(c) for c in row])
         paths.append(path)
     if failures and not summary_rows:
-        raise SweepError(f"all sweep points failed; first error: {failures[0]['message']}")
+        raise SweepError(f"all sweep points failed; first error: {failures[0][-1]}")
     return paths
 
 

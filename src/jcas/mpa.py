@@ -52,8 +52,6 @@ class DecodeResult:
 
 def _check_inputs(y, h, cb):
     y = np.asarray(y, dtype=complex)
-    if y.ndim == 2:
-        y = y[None, :, :]
     if y.ndim != 3 or y.shape[1] != cb.n_ores:
         raise ValueError(f"received tensor shape {y.shape} inconsistent with codebook")
     h = np.asarray(h, dtype=complex)

@@ -136,9 +136,12 @@ def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
     head = lines[0].split()
     if len(head) != 8 or head[0] != "room" or head[4] != "voxel":
         raise ValueError(f"{path}: malformed scene header: {lines[0]!r}")
-    file_spec = RoomSpec(
-        tuple(float(x) for x in head[1:4]), tuple(float(x) for x in head[5:8])
-    )
+    try:
+        file_spec = RoomSpec(
+            tuple(float(x) for x in head[1:4]), tuple(float(x) for x in head[5:8])
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: scene header {lines[0]!r}: {exc}") from None
     if spec is not None and file_spec != spec:
         raise ValueError(
             f"{path}: scene room {file_spec.room_dims} voxel {file_spec.voxel_dims} "
@@ -149,11 +152,12 @@ def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
     vals = np.zeros(spec.n_voxels)
     seen = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}: malformed voxel line: {ln!r}")
-        ix, iy, iz = (int(p) for p in parts[:3])
-        v = float(parts[3])
+        try:
+            *index, v = ln.split()
+            ix, iy, iz = (int(p) for p in index)
+            v = float(v)
+        except ValueError:  # a malformed number or not four fields
+            raise ValueError(f"{path}: malformed voxel line: {ln!r}") from None
         if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
             raise ValueError(f"{path}: voxel index out of range: {ln!r}")
         if not 0 <= v <= 1:

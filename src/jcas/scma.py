@@ -236,7 +236,10 @@ def load_codebook(path) -> Codebook:
     head = lines[0].split()
     if len(head) != 5 or head[0] != "scma":
         raise CodebookError(f"{path}: malformed header: {lines[0]!r}")
-    n_u, r, m, d_v = (int(x) for x in head[1:])
+    try:
+        n_u, r, m, d_v = (int(x) for x in head[1:])
+    except ValueError:
+        raise CodebookError(f"{path}: malformed header: {lines[0]!r}") from None
     if len(lines) != 1 + n_u * m:
         raise CodebookError(
             f"{path}: expected {n_u * m} codeword lines, got {len(lines) - 1}"
@@ -245,14 +248,23 @@ def load_codebook(path) -> Codebook:
     for u in range(n_u):
         cm = np.zeros((r, m), dtype=complex)
         for mi in range(m):
-            parts = lines[1 + u * m + mi].split()
+            line = lines[1 + u * m + mi]
+            parts = line.split()
             if len(parts) != r:
                 raise CodebookError(
                     f"{path}: user {u} codeword {mi}: expected {r} entries"
                 )
-            cm[:, mi] = [complex(p) for p in parts]
+            try:
+                cm[:, mi] = [complex(p) for p in parts]
+            except ValueError:
+                raise CodebookError(
+                    f"{path}: user {u} codeword {mi}: malformed entry in {line!r}"
+                ) from None
         mats.append(cm)
-    cb = Codebook(mats)
+    try:
+        cb = Codebook(mats)
+    except CodebookError as exc:
+        raise CodebookError(f"{path}: {exc}") from None
     if cb.d_v != d_v:
         raise CodebookError(f"{path}: header d_v {d_v} != actual {cb.d_v}")
     return cb

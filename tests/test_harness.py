@@ -104,6 +104,23 @@ def test_config_validation(tmp_path, capsys):
             ExperimentConfig.from_file(ini)
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("experiment", "trials", "abc"),
+        ("experiment", "record_timing", "maybe"),
+        ("experiment", "values", "0 five"),
+        ("joint", "mu", "fast"),
+    ],
+)
+def test_cli_run_names_a_malformed_config_value(tmp_path, capsys, section, key, raw):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {ini}: [{section}] {key} = {raw!r}: ")
+
+
 def _write_ini(cfg: ExperimentConfig, path):
     """Write every field of cfg in the format ExperimentConfig.from_file reads."""
 
@@ -318,7 +335,7 @@ def test_run_rejects_missing_file(tmp_path, capsys, name):
 
 def test_scenario_files_are_read_once_in_the_parent(tmp_path, monkeypatch):
     """A config that names all three files reads each once, in the calling
-    process, whether its points run in process or on two pool workers; the
+    process, whether its points run on one pool worker or on two; the
     points use the files' objects, and the outputs do not depend on the
     worker count."""
     files = _scenario_files(tmp_path)
@@ -530,7 +547,7 @@ def test_all_failed_sweep_writes_outputs_then_raises(tmp_path):
     assert main(["run", str(ini)]) == 2
 
 
-def test_cli_validate(tmp_path):
+def test_cli_validate(tmp_path, capsys):
     cb_path = tmp_path / "cb.txt"
     save_codebook(cb_path, default_codebook())
     assert main(["validate", str(cb_path)]) == 0
@@ -539,8 +556,29 @@ def test_cli_validate(tmp_path):
     assert main(["validate", str(bad)]) == 1
     one = tmp_path / "one_codeword.txt"
     one.write_text("scma 2 2 1 2\n0.7+0j 0.7+0j\n0.7+0j 0.7j\n")
+    capsys.readouterr()
     assert main(["validate", str(one)]) == 1
+    assert f"{one}: need M >= 2" in capsys.readouterr().err  # the book's own check
     assert main(["validate", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("scma 2 x 2 2\n", "scma 2 x 2 2"),
+        ("scma 1 2 2 2\n0.7 0.7\n0.7 zz\n", "0.7 zz"),
+        ("room 4 4 x voxel 0.5 0.5 0.5\n", "room 4 4 x voxel 0.5 0.5 0.5"),
+        ("room 4 4 4 voxel 0.5 0.5 0.5\n1 2 x 0.5\n", "1 2 x 0.5"),
+        ("users\n1 2 z\n", "1 2 z"),
+    ],
+    ids=["codebook-header", "codebook-entry", "scene-header", "scene-voxel", "geometry"],
+)
+def test_cli_validate_names_the_file_on_a_malformed_number(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and repr(line) in err
 
 
 def _subprocess_env(**extra):
@@ -551,9 +589,8 @@ def _subprocess_env(**extra):
 
 
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
-    """A run's trace and summary do not depend on the BLAS thread count, run
-    in process (one worker) or on two pool workers (which drop to one BLAS
-    thread each)."""
+    """A run's trace and summary do not depend on the caller's BLAS thread
+    count, on one pool worker or on two (each drops to one BLAS thread)."""
     code = (
         "import sys, jcas.harness; from jcas.harness import ExperimentConfig, run_experiment; "
         "from jcas.joint import JointConfig; "
@@ -607,38 +644,43 @@ def test_pool_worker_initializer_sets_one_blas_thread():
     assert set(after) == {1}, (before, after)  # before: 2 threads on a multi-CPU machine
 
 
-def test_in_process_points_run_with_one_blas_thread():
-    """Run in process, a point sees one OpenBLAS thread, and the caller's
-    count is back afterwards, also when a point raises."""
-    code = "import jcas.harness; " + _BLAS_COUNTS + """
+def test_points_run_in_workers_with_one_blas_thread():
+    """Even with one usable CPU, every point runs in a worker process, not
+    the caller's, with one OpenBLAS thread, and the caller's count is
+    unchanged afterwards, also after a point raises."""
+    code = "import os, jcas.harness; " + _BLAS_COUNTS + """
 jcas.harness._usable_cpus = lambda: 1
-seen = []
 def point(cfg, value, trial):
-    seen.append(counts())
     if trial == 2:
         raise ZeroDivisionError
+    return os.getpid(), counts()
 jcas.harness._run_point = point
 before = counts()
-jcas.harness.run_points(None, [(0, 0), (0, 1)])
+seen = jcas.harness.run_points(None, [(0, 0), (0, 1)])
 after = counts()
 try:
     jcas.harness.run_points(None, [(0, 2)])
 except ZeroDivisionError:
     pass
-print(json.dumps([before, seen, after, counts()]))
+print(json.dumps([os.getpid(), before, seen, after, counts()]))
 """
     env = _subprocess_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    before, seen, after, after_error = json.loads(out.stdout)
+    caller, before, seen, after, after_error = json.loads(out.stdout)
+    assert len(seen) == 2 and caller not in [pid for pid, _ in seen]
     if not before:
         pytest.skip("numpy is not linked against OpenBLAS")
     if set(before) != {2}:
         pytest.skip(f"OpenBLAS starts with {before} threads, not the 2 asked for")
-    assert seen == [[1] * len(before)] * 3
+    assert [c for _, c in seen] == [[1] * len(before)] * 2
     assert after == before and after_error == before
+
+
+def test_run_points_of_no_points_is_empty(small_cfg):
+    assert jcas.harness.run_points(small_cfg, []) == []
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

@@ -154,6 +154,8 @@ def test_mpa_input_validation():
     h = _rand_channel(cb, 2, 0)
     with pytest.raises(ValueError):
         mpa_decode(np.zeros((2, 3, 2), dtype=complex), h, cb, 0.1)
+    with pytest.raises(ValueError, match="received tensor shape"):
+        mpa_decode(np.zeros((4, 2), dtype=complex), h, cb, 0.1)  # no slot axis
     with pytest.raises(ValueError):
         mpa_decode(np.zeros((2, 4, 2), dtype=complex), h, cb, 0.1, k_it=0)
 
