@@ -53,6 +53,10 @@ class Geometry:
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
                 raise ValueError(f"{name} must be an (n, 3) array with n >= 1")
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                bad = tuple(arr[np.argmin(finite)].tolist())
+                raise ValueError(f"{name} position {bad} is not finite")
             setattr(self, name, arr)
 
     @property
@@ -352,6 +356,9 @@ def load_geometry(path) -> Geometry:
     for name, pts in sections.items():
         if not pts:
             raise ValueError(f"{path}: missing or empty section {name!r}")
-    return Geometry(
-        np.array(sections["users"]), np.array(sections["ap"]), np.array(sections["irs"])
-    )
+    try:
+        return Geometry(
+            np.array(sections["users"]), np.array(sections["ap"]), np.array(sections["irs"])
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -186,8 +186,11 @@ def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
     bad_streak = 0
     residual = np.inf
     for t in range(max_iter):
-        sig_z = phi2 @ sig_x
+        # each matrix's two products run back to back (phi.T then phi across
+        # iterations, phi2 then phi2.T within one), so a phi that nearly fits
+        # in cache is read from it the second time
         z_hat = phi @ x_hat
+        sig_z = phi2 @ sig_x
         p_hat = z_hat - sig_z * s_hat
         residual = float(np.sum((y - z_hat) ** 2))
         if residual <= eps_t:

@@ -70,6 +70,10 @@ class JointConfig:
             raise ValueError(f"momentum coefficient must lie in [0, 1), got {self.mu}")
         if self.ore_mode not in ("user_first", "all_ores"):
             raise ValueError(f"unknown ore_mode {self.ore_mode!r}")
+        if not self.ebn0_db > -np.inf:  # +inf is a noiseless run
+            raise ValueError(f"ebn0_db must be a number or +inf, got {self.ebn0_db}")
+        if self.eps_k is not None and not self.eps_k >= 0:
+            raise ValueError(f"eps_k must be >= 0, got {self.eps_k}")
 
 
 @dataclass

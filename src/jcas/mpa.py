@@ -7,20 +7,32 @@ a product (log-domain sum) before the argmax.
 
 MPA layout: the B = N_R*N_T (antenna, slot) pairs are independent copies of
 the same message passing, so they form the last, contiguous axis of every
-array, antenna-major (b = n*N_T + t). FN r's likelihood table is (M^L, B)
-for its L users, the row index being their joint symbol in base M with the
-first user of lambda_r most significant; every message is (M, B). Viewed as
-(M^k, M^(L-k), B), a table sums its back L-k users out against their joint
-message, the Kronecker product of their messages, in one einsum over the
-long contiguous axis ("acb,cb->ab"), and its front k users likewise
-("acb,ab->cb").
+array, antenna-major (b = n*N_T + t). Messages live on the factor graph's E
+(FN, user) edges, numbered FN-major (FN r's users in lambda_r order): mu_vf
+and mu_fv are (E, M, B) arrays, one (M, B) message per edge. The FNs are
+grouped by degree L (a balanced book has at most two), and a group of G FNs
+keeps its likelihood tables in one (G, M^L, B) array, the row index being
+the FN's users' joint symbol in base M with the first user of lambda_r most
+significant. The edge tables, degree groups and codeword grids are computed
+once per book (Codebook._edges).
 
-MPA schedule per round: for each FN, the users split into a front k = L // 2
-and a back; one pass over the table sums the back out and one the front,
-and each half recurses on its smaller table until one user is left, whose
-table is its FN->VN message. Then every VN sends each of its FNs the
-normalized product of its other FNs' messages, except in the last round,
-whose VN->FN messages nothing reads. Messages start uniform.
+MPA schedule per round: the users of each FN split into a front k = L // 2
+and a back. Viewed as (G, M^k, M^(L-k), B), a group's tables sum their back
+users out against their joint message, the Kronecker product of their
+messages, in one einsum batched over the group ("gacb,gcb->gab"), and their
+front users FN by FN ("acb,ab->cb"). Each half recurses on its smaller
+tables until one user is left, whose table is its FN->VN message; these are
+scattered into mu_fv through the group's (G, L) edge table, and all of mu_fv
+is floored and normalized at once. The second pass stays per FN because
+batching it costs more than the calls it saves: on a (5, 64, 64, 128) group
+(20 users on 7 OREs, M = 4) the batched einsum took 2.09 ms against 1.50 ms
+for five per-FN calls, and batching every pass made such decodes 10-30%
+slower; on small tables the two forms cost the same. Then every VN sends
+each of its FNs the normalized product of its other FNs' messages, gathered
+through an (E, d_v - 1) table of each edge's other edges and multiplied in
+omega_u order, except in the last round, whose VN->FN messages nothing
+reads. Messages start uniform. Each message is computed with the operations,
+in the order, of a loop over single edges.
 
 sigma2 is the total complex noise variance (see transceiver) and must be
 finite and >= 0. A sigma2 of zero is guarded by an absolute floor of 1e-300;
@@ -33,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scma import Codebook, _combo_digits, factor_graph
+from .scma import Codebook, _combo_digits
 
 __all__ = ["DecodeResult", "ml_decode", "mpa_decode", "ser"]
 
@@ -101,8 +113,8 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
     return DecodeResult(_combo_digits(best_idx, m, n_u).astype(int))
 
 
-def _likelihood(y_r, mean, sigma_eff):
-    """FN table exp(-(d2 - min d2) / sigma_eff) of shape (C, B), built in place.
+def _likelihood(y_r, mean, sigma_eff, out):
+    """FN table exp(-(d2 - min d2) / sigma_eff) of shape (C, B), built in out.
 
     y_r is (N_R, N_T), mean (C, N_R); d2 = |y - mean|^2 per (combo, n, t) and
     the min runs over the combos of each (n, t), so the best row is exp(0) = 1.
@@ -120,45 +132,48 @@ def _likelihood(y_r, mean, sigma_eff):
     bm[0, ant, ant] = -2 * y_r.real
     bm[1, ant, ant] = -2 * y_r.imag
     bm[2, ant, ant] = 1.0
-    t = a @ bm.reshape(3 * n_r, -1)
+    t = np.matmul(a, bm.reshape(3 * n_r, -1), out=out)
     np.subtract(t.min(axis=0), t, out=t)
     np.divide(t, sigma_eff, out=t)
     with np.errstate(over="ignore", under="ignore"):
         np.exp(t, out=t)
-    return t
 
 
 def _joint(msgs):
-    """Kronecker product (M^k, B) of k messages (M, B), the first most significant."""
-    j = msgs[0]
-    for msg in msgs[1:]:
-        j = (j[:, None, :] * msg[None, :, :]).reshape(-1, j.shape[1])
+    """Kronecker products (G, M^k, B) of messages (G, k, M, B), the first most significant."""
+    j = msgs[:, 0]
+    for i in range(1, msgs.shape[1]):
+        j = (j[:, :, None, :] * msgs[:, i, None, :, :]).reshape(j.shape[0], -1, j.shape[2])
     return j
 
 
-def _extrinsics(table, msgs):
-    """Per-user sums of one FN's table weighted by the other users' messages.
+def _extrinsics(tables, msgs):
+    """Per-user sums of a degree group's tables weighted by the other users' messages.
 
-    table is (M^L, B) with user 0 the most significant digit; msgs[i] is user
-    i's (M, B) message. The users split into a front k = L // 2 and a back:
-    one pass sums the back out against their joint message, one the front,
-    and each half recurses on its (M^k, B) or (M^(L-k), B) table.
+    tables is (G, M^L, B), one FN per row, with user 0 the most significant
+    digit; msgs[:, i] is user i's (G, M, B) message. The users split into a
+    front k = L // 2 and a back: one pass sums the back out against their
+    joint message, batched over the group, one the front, FN by FN, and each
+    half recurses on its (G, M^k, B) or (G, M^(L-k), B) tables. Returns the
+    L users' (G, M, B) sums.
     """
-    n = len(msgs)
+    g, n, m, b = msgs.shape
     if n == 1:
-        return [table]
+        return [tables]
     k = n // 2
-    m, b = msgs[0].shape
-    t3 = table.reshape(m**k, -1, b)
-    front = np.einsum("acb,cb->ab", t3, _joint(msgs[k:]))
-    back = np.einsum("acb,ab->cb", t3, _joint(msgs[:k]))
-    return _extrinsics(front, msgs[:k]) + _extrinsics(back, msgs[k:])
+    t3 = tables.reshape(g, m**k, -1, b)
+    front = np.einsum("gacb,gcb->gab", t3, _joint(msgs[:, k:]))
+    ja = _joint(msgs[:, :k])
+    back = np.empty((g, t3.shape[2], b))
+    for i in range(g):
+        np.einsum("acb,ab->cb", t3[i], ja[i], out=back[i])
+    return _extrinsics(front, msgs[:, :k]) + _extrinsics(back, msgs[:, k:])
 
 
-def _normalized(p):
-    """Floor p (M, B) at _TINY and normalize each column."""
-    p = p + _TINY
-    p /= p.sum(axis=0)
+def _normalize(p):
+    """Floor messages p (E, M, B) at _TINY and normalize each column, in place."""
+    p += _TINY
+    p /= p.sum(axis=1, keepdims=True)
     return p
 
 
@@ -176,57 +191,49 @@ def mpa_decode(y, h, cb: Codebook, sigma2: float, k_it: int = 10) -> DecodeResul
     if not np.isfinite(sigma2) or sigma2 < 0:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     y, h = _check_inputs(y, h, cb)
-    graph = factor_graph(cb)
+    edges = cb._edges
+    lam = cb.graph.lambda_r
     n_t, _, n_r = y.shape
+    n_e = edges.user_edges.size
     b = n_t * n_r
     m = cb.m
     y_b = np.ascontiguousarray(y.transpose(1, 2, 0))  # (R, N_R, N_T)
     sigma_eff = max(sigma2, _SIGMA_FLOOR)
 
-    # per-FN likelihood tables over the M^L joint symbol grid of its users
-    lik = []
-    for r, (users, cw) in enumerate(zip(graph.lambda_r, cb._fn_codewords)):
-        mean = np.einsum("ic,in->cn", cw, h[r][list(users), :])
-        lik.append(_likelihood(y_b[r], mean, sigma_eff))
+    # per degree group, the FNs' likelihood tables over their users' M^L joint
+    # symbol grids, built one FN at a time
+    tables = []
+    for fns, _, cw in edges.groups:
+        t = np.empty((len(fns), cw.shape[2], b))
+        for i, r in enumerate(fns):
+            mean = np.einsum("ic,in->cn", cw[i], h[r][list(lam[r]), :])
+            _likelihood(y_b[r], mean, sigma_eff, t[i])
+        tables.append(t)
 
-    uniform = np.full((m, b), 1.0 / m)
-    mu_vf = {(u, r): uniform for u in range(cb.n_users) for r in graph.omega_u[u]}
-    mu_fv = {}
+    mu_vf = np.full((n_e, m, b), 1.0 / m)
+    mu_fv = np.empty((n_e, m, b))
     for it in range(k_it):
         # FN -> VN: marginalize the likelihood grid over the other users,
         # weighting by their incoming messages (half splits, see _extrinsics)
-        for r, users in enumerate(graph.lambda_r):
-            ext = _extrinsics(lik[r], [mu_vf[(u, r)] for u in users])
-            for u, e in zip(users, ext):
-                mu_fv[(r, u)] = _normalized(e)
+        for t, (_, idx, _) in zip(tables, edges.groups):
+            for i, ext in enumerate(_extrinsics(t, mu_vf[idx])):
+                mu_fv[idx[:, i]] = ext
+        _normalize(mu_fv)
         if it + 1 == k_it:
             break  # the final beliefs read only the FN -> VN messages
-        # VN -> FN: extrinsic product over the user's other OREs, normalized;
-        # the product starts from the first other message (1.0 * x == x)
-        for u in range(cb.n_users):
-            ores = graph.omega_u[u]
-            for r in ores:
-                others = [mu_fv[(j, u)] for j in ores if j != r]
-                prod = others[0] if others else np.ones((m, b))
-                for msg in others[1:]:
-                    prod = prod * msg
-                mu_vf[(u, r)] = _normalized(prod)
-    del lik, mu_vf
+        # VN -> FN: extrinsic product over the user's other OREs in omega_u
+        # order, normalized; at d_v = 1 the product is empty, all ones
+        mu_vf = _normalize(mu_fv[edges.others].prod(axis=1))
+    del tables, mu_vf
 
     # final beliefs: product over the user's OREs, antennas combined in log domain
-    indices = np.zeros((n_t, cb.n_users), dtype=int)
-    posts = np.zeros((n_t, cb.n_users, m))
-    for u in range(cb.n_users):
-        logb = np.zeros((m, b))
-        for j in graph.omega_u[u]:
-            logb += np.log(mu_fv[(j, u)] + _TINY)
-        logb = logb.reshape(m, n_r, n_t).sum(axis=1).T
-        logb -= logb.max(axis=1, keepdims=True)
-        p = np.exp(logb)
-        p /= p.sum(axis=1, keepdims=True)
-        posts[:, u, :] = p
-        indices[:, u] = np.argmax(p, axis=1)
-    return DecodeResult(indices, posts)
+    logb = np.log(mu_fv[edges.user_edges] + _TINY).sum(axis=1)  # (N_u, M, B)
+    logb = logb.reshape(cb.n_users, m, n_r, n_t).sum(axis=2)  # (N_u, M, N_T)
+    logb -= logb.max(axis=1, keepdims=True)
+    p = np.exp(logb)
+    p /= p.sum(axis=1, keepdims=True)
+    posts = np.ascontiguousarray(p.transpose(2, 0, 1))  # (N_T, N_u, M)
+    return DecodeResult(np.argmax(posts, axis=2), posts)
 
 
 def ser(decoded, truth) -> float:

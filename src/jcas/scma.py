@@ -37,6 +37,25 @@ class FactorGraph:
     omega_u: tuple
 
 
+@dataclass(frozen=True)
+class _EdgeTables:
+    """Index tables of a book's factor-graph edges and its FNs' codeword grids.
+
+    Edge e is one (FN r, user u) pair, numbered FN-major: FN r's users in
+    lambda_r order, so there are E = sum_r L_r = d_v * N_u edges. groups holds
+    one (fns, edges, codewords) per FN degree L, in order of first appearance:
+    fns (G,) the FNs of degree L, edges (G, L) their edges, and codewords
+    (G, L, M^L) what each FN's users send on it over their joint symbol grid
+    (user 0 the most significant digit). others (E, d_v - 1) lists, for edge
+    (r, u), u's edges to its other FNs in omega_u order; user_edges (N_u, d_v)
+    lists all of u's edges in omega_u order. Every array is read-only.
+    """
+
+    groups: tuple
+    others: np.ndarray
+    user_edges: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Per-user sparse codeword matrices.
@@ -65,6 +84,9 @@ class Codebook:
         for u, m in enumerate(mats):
             if m.shape != shape:
                 raise CodebookError(f"user {u}: codeword matrix shape {m.shape} != {shape}")
+            if not np.isfinite(m).all():
+                r, c = np.argwhere(~np.isfinite(m))[0]
+                raise CodebookError(f"user {u} codeword {c}: entry {m[r, c]} is not finite")
             m.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
         n_ores, n_cw = shape
@@ -128,16 +150,29 @@ class Codebook:
         return max(len(users) for users in self.graph.lambda_r)
 
     @cached_property
-    def _fn_codewords(self) -> tuple:
-        """Per ORE r, the read-only (L, M^L) codewords its L users send on r
-        over their joint symbol grid (user 0 the most significant digit)."""
-        grids = []
-        for r, users in enumerate(self.graph.lambda_r):
-            digits = _combo_digits(np.arange(self.m ** len(users)), self.m, len(users))
-            cw = np.stack([self.matrices[u][r, digits[:, i]] for i, u in enumerate(users)])
-            cw.flags.writeable = False
-            grids.append(cw)
-        return tuple(grids)
+    def _edges(self) -> _EdgeTables:
+        """The MPA's index tables and codeword grids of this book (see _EdgeTables)."""
+        lam, omega = self.graph.lambda_r, self.graph.omega_u
+        edge = {}  # (r, u) -> edge index, FN-major
+        for r, users in enumerate(lam):
+            for u in users:
+                edge[(r, u)] = len(edge)
+        others = np.array(
+            [[edge[(j, u)] for j in omega[u] if j != r] for r, u in edge], dtype=np.intp
+        ).reshape(len(edge), self.d_v - 1)
+        user_edges = np.array([[edge[(r, u)] for r in omega[u]] for u in range(self.n_users)])
+        groups = []
+        for deg in dict.fromkeys(len(users) for users in lam):
+            fns = np.array([r for r, users in enumerate(lam) if len(users) == deg])
+            digits = _combo_digits(np.arange(self.m**deg), self.m, deg)
+            idx = np.array([[edge[(r, u)] for u in lam[r]] for r in fns])
+            cw = np.array(
+                [[self.matrices[u][r, digits[:, i]] for i, u in enumerate(lam[r])] for r in fns]
+            )
+            groups.append((fns, idx, cw))
+        for arr in (others, user_edges, *(a for grp in groups for a in grp)):
+            arr.flags.writeable = False
+        return _EdgeTables(tuple(groups), others, user_edges)
 
 
 def _combo_digits(idx, m, n):

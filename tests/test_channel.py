@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,15 @@ def test_geometry_load_errors(tmp_path):
         load_geometry(path)
     path.write_text("users\n1 2 3\nap\n0 1 2\n")  # missing irs
     with pytest.raises(ValueError):
+        load_geometry(path)
+
+
+def test_geometry_rejects_non_finite_positions(tmp_path):
+    with pytest.raises(ValueError, match=r"users position \(1.0, nan, 1.0\) is not finite"):
+        Geometry([[1.0, float("nan"), 1.0]], [[0.0, 0.0, 1.0]], [[1.0, 0.0, 1.0]])
+    path = tmp_path / "geom.txt"
+    path.write_text("users\n1 2 1\nap\n0 1 2\nirs\n1 0 inf\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: irs position .* not finite"):
         load_geometry(path)
 
 

@@ -320,6 +320,47 @@ def test_run_rejects_file_that_disagrees_with_config(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, entry", [("codebook", "nan+0j"), ("geometry", "nan")])
+def test_validate_and_run_reject_a_non_finite_file_entry(tmp_path, capsys, name, entry):
+    """A NaN codeword entry or coordinate makes the file invalid: jcas
+    validate exits 1 and jcas run exits 1 before any point runs, both naming
+    the file."""
+    path = _scenario_files(tmp_path)[name]
+    with open(path) as f:
+        lines = f.read().splitlines()
+    lines[1] = " ".join([entry] + lines[1].split()[1:])  # the first entry after the header
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "not finite" in err, err
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        _FILE_INI.format(sweep="ebn0_db", out=tmp_path / "out", name=name, path=path)
+    )
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err and "not finite" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("ebn0_db", "nan"), ("ebn0_db", "-inf"), ("eps_k", "nan"), ("eps_k", "-1")]
+)
+def test_cli_run_rejects_nan_snr_and_bad_gate(tmp_path, capsys, key, raw):
+    """A NaN or -inf SNR would fail every point; a NaN or negative gate would
+    never open. Both are config errors."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        f"[experiment]\nsweep = packets\nvalues = 2\ntrials = 1\noutput = {tmp_path / 'out'}\n"
+        f"[scenario]\nn_antennas = 2\n[joint]\nn_slots = 16\nn_f = 2\n{key} = {raw}\n"
+    )
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} must be" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["scene", "codebook", "geometry"])
 def test_run_rejects_missing_file(tmp_path, capsys, name):
     path = tmp_path / "missing.txt"

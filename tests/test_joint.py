@@ -36,6 +36,25 @@ def test_config_rejects_momentum_outside_unit_interval():
             JointConfig(mu=mu)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"ebn0_db": float("nan")}, "ebn0_db must be a number or"),
+        ({"ebn0_db": -float("inf")}, "ebn0_db must be a number or"),
+        ({"eps_k": float("nan")}, "eps_k must be >= 0"),
+        ({"eps_k": -1.0}, "eps_k must be >= 0"),
+    ],
+    ids=["ebn0_db-nan", "ebn0_db-minus-inf", "eps_k-nan", "eps_k-negative"],
+)
+def test_config_rejects_nan_snr_and_bad_gate(kw, match):
+    with pytest.raises(ValueError, match=match):
+        JointConfig(**kw)
+
+
+def test_config_accepts_noiseless_snr_and_zero_gate():
+    assert JointConfig(ebn0_db=float("inf"), eps_k=0.0).eps_k == 0.0
+
+
 def test_config_rejects_unknown_ore_mode():
     with pytest.raises(ValueError, match="ore_mode"):
         JointConfig(ore_mode="bogus")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_mpa_posteriors_normalized():
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    shape=st.sampled_from([(6, 4, 2), (3, 3, 2), (8, 4, 2), (2, 2, 1)]),
+    shape=st.sampled_from([(6, 4, 2), (3, 3, 2), (8, 4, 2), (2, 2, 1), (4, 4, 3)]),
     m=st.sampled_from([2, 4]),
     n_ant=st.integers(1, 4),
     n_slots=st.integers(1, 8),
@@ -170,12 +171,13 @@ def test_mpa_rejects_bad_sigma2(sigma2):
 
 @pytest.mark.parametrize("n_ant", [1, 4, 16])
 @pytest.mark.parametrize("m", [2, 4])
-@pytest.mark.parametrize("shape", [(6, 4, 2), (20, 7, 2), (14, 4, 2), (2, 2, 1)])
+@pytest.mark.parametrize("shape", [(6, 4, 2), (20, 7, 2), (14, 4, 2), (2, 2, 1), (4, 4, 3)])
 def test_mpa_matches_reference(shape, m, n_ant):
     """Same decisions as the einsum reference and posteriors equal to rounding,
     on regular (6 users, 4 OREs, d_f=3) and irregular (20 on 7, d_f 5-6)
-    books, a book whose 7 users per ORE split unevenly (3 + 4), and one whose
-    FNs each hold a single user.
+    books, a book whose 7 users per ORE split unevenly (3 + 4), one whose
+    FNs each hold a single user, and one whose users each sit on 3 FNs, so
+    each VN->FN message is a product of two FN->VN messages.
 
     Cases: noiseless with sigma2 = 0, noisy at 4 dB with its sigma2, the
     noisy frame decoded with sigma2 = 0, where only the per-slot rescale of
@@ -200,3 +202,19 @@ def test_mpa_matches_reference(shape, m, n_ant):
             ref = mpa_reference(y, h, cb, sigma2, k_it)
             assert np.array_equal(fast.indices, ref.indices)
             assert np.allclose(fast.posteriors, ref.posteriors, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(20, 7, 2), (4, 4, 3)])
+def test_pickled_codebook_decodes_bit_identically(shape):
+    """A book sent to a pool worker is rebuilt there with its own edge tables
+    and decodes to the same bits as the original."""
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=4, d_v=d_v)
+    h = _rand_channel(cb, 4, 23)
+    sigma2 = noise_sigma(6.0, cb)
+    rx = transmit(random_frame(16, cb, 0, 24), h, cb, sigma2, seed=25)
+    a = mpa_decode(rx, h, cb, sigma2)
+    back = pickle.loads(pickle.dumps(cb))
+    b = mpa_decode(rx, h, back, sigma2)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.posteriors.tobytes() == b.posteriors.tobytes()

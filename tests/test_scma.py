@@ -107,10 +107,11 @@ def _book(*supports, m=2, n_ores=3):
     return mats
 
 
-def _codeword_with_a_zero():
+def _codeword_entry(value):
+    """The default book with one entry of user 0's codeword 1 set to value."""
     cb = default_codebook()
     mats = [m.copy() for m in cb.matrices]
-    mats[0][cb.support(0)[0], 1] = 0.0  # kill one entry of one codeword
+    mats[0][cb.support(0)[0], 1] = value
     return mats
 
 
@@ -120,13 +121,15 @@ def _codeword_with_a_zero():
         (_book((0, 1), (1, 2), (0, 2), m=1), r"need M >= 2 codewords per user, got 1"),
         (_book((), (0, 1)), r"user 0: codewords have no nonzero rows"),
         (_book((0, 1), ()), r"user 1: support size 0 != d_v 2"),
-        (_codeword_with_a_zero(), r"user 0 codeword 1: nonzero rows .* do not match the user support"),
+        (_codeword_entry(0.0), r"user 0 codeword 1: nonzero rows .* do not match the user support"),
+        (_codeword_entry(complex("nan+0j")), r"user 0 codeword 1: entry \(nan\+0j\) is not finite"),
+        (_codeword_entry(complex("inf-1j")), r"user 0 codeword 1: entry \(inf-1j\) is not finite"),
         (_book((0, 1), (1, 2), (0,)), r"user 2: support size 1 != d_v 2"),
         (_book((0, 1), (0, 1), (0, 1)), r"ORE 0: used by 3 users, expected d_f = 2"),
         (_book((0, 1), (0, 1)), r"ORE 2: load 0 outside balanced range \[1, 2\]"),
     ],
     ids=["one-codeword", "empty-support", "empty-later-support", "codeword-support-mismatch",
-         "unequal-d_v", "unbalanced-regular", "unbalanced-irregular"],
+         "nan-entry", "inf-entry", "unequal-d_v", "unbalanced-regular", "unbalanced-irregular"],
 )
 def test_constructor_rejects_invalid_book(mats, match):
     with pytest.raises(CodebookError, match=match):

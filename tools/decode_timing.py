@@ -1,0 +1,85 @@
+"""Time mpa_decode per decode on the captured inputs of two benchmark corpora.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/decode_timing.py [--rounds 7]
+
+Runs the closed loop once over each trial of the `converge` and `crowded`
+corpora of loopbench/worker.py (its `configs` and `WORKLOADS`), recording
+the arguments of every mpa_decode call the loop makes, self-iterations and
+feedback included. Then it replays the recorded inputs in interleaved rounds
+(converge, crowded, converge, ...) and prints, per workload, the number of
+decodes and the median over the rounds of the mean milliseconds per decode,
+with the fastest and slowest round. It runs the jcas on PYTHONPATH, so this
+one script times any two checkouts:
+
+    PYTHONPATH=../parent/src python tools/decode_timing.py
+    PYTHONPATH=src python tools/decode_timing.py
+
+Set one BLAS thread, as loopbench does, for figures comparable with its
+runs. Report only: nothing asserts.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+LOOPBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "loopbench")
+WORKLOADS = ("converge", "crowded")
+
+
+def capture(workload):
+    """The (y, h, cb, sigma2, k_it) of every mpa_decode call of one pass over
+    a loop workload's corpus, in call order."""
+    from jcas import harness, joint
+
+    sys.path.insert(0, LOOPBENCH)
+    try:
+        from worker import WORKLOADS as CORPORA, configs
+    finally:
+        sys.path.remove(LOOPBENCH)
+    cfg, value = configs(workload)
+    calls = []
+    decode = joint.mpa_decode
+
+    def record(y, h, cb, sigma2, k_it=10):
+        calls.append((y.copy(), h.copy(), cb, sigma2, k_it))
+        return decode(y, h, cb, sigma2, k_it)
+
+    joint.mpa_decode = record
+    try:
+        for trial in range(CORPORA[workload][1]):
+            truth, links, cb, prior, jc = harness.build_system(cfg, value, trial)
+            joint.JointRunner(truth, links, cb, prior, jc).run()
+    finally:
+        joint.mpa_decode = decode
+    return calls
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--rounds", type=int, default=7, help="interleaved replay rounds")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be >= 1")
+
+    from jcas.mpa import mpa_decode
+
+    calls = {w: capture(w) for w in WORKLOADS}
+    ms = {w: [] for w in WORKLOADS}
+    for _ in range(args.rounds):
+        for w in WORKLOADS:
+            t0 = time.perf_counter()
+            for y, h, cb, sigma2, k_it in calls[w]:
+                mpa_decode(y, h, cb, sigma2, k_it)
+            ms[w].append((time.perf_counter() - t0) * 1e3 / len(calls[w]))
+    for w in WORKLOADS:
+        print(
+            f"{w}: {len(calls[w])} decodes, median {statistics.median(ms[w]):.3f} ms "
+            f"per decode over {args.rounds} rounds "
+            f"[{min(ms[w]):.3f}, {max(ms[w]):.3f}]"
+        )
+
+
+if __name__ == "__main__":
+    main()
