@@ -6,6 +6,9 @@ Config files are INI-style (configparser) with [experiment], [scenario] and
 value or after whitespace starts a comment; "%" is literal. Child seeds are
 a pure function of (master seed, sweep value, trial): the sweep value is
 keyed as round(value * 1000) so float axes (dB, momentum) stay stable.
+Sweep values must be finite, and user counts and packet budgets whole
+numbers; every value is checked as its point's JointConfig when the config
+is built, so a value no point can run is a config error.
 
 The [scenario] fields are the one source of every scenario quantity. A
 scene, codebook or geometry file that a config names is read once per
@@ -133,8 +136,23 @@ class ExperimentConfig:
             RoomSpec(self.room, self.voxel)
         except ValueError as exc:
             raise ValueError(f"room {self.room} and voxel {self.voxel}: {exc}") from exc
-        if self.sweep == "n_users" and min(self.values) < 1:
-            raise ValueError(f"n_users sweep values must be >= 1, got {self.values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.joint.seed != JointConfig.seed:
+            raise ValueError("joint.seed is set per point from the master seed, not here")
+        for value in self.values:
+            if not abs(value) <= 1e300:  # child_seed keys on round(value * 1000)
+                raise ValueError(f"sweep values must be finite (|v| <= 1e300), got {self.values}")
+            if self.sweep in ("n_users", "packets") and not float(value).is_integer():
+                raise ValueError(
+                    f"{self.sweep} sweep values must be whole numbers, got {self.values}"
+                )
+            if self.sweep == "n_users" and value < 1:
+                raise ValueError(f"n_users sweep values must be >= 1, got {self.values}")
+            try:
+                _sweep_point(self, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep value {self.sweep} = {value}: {exc}") from None
 
     @cached_property
     def files(self):
@@ -144,8 +162,9 @@ class ExperimentConfig:
 
         Raises OSError for a file that cannot be read, and ValueError when a
         file disagrees with a [scenario] field, naming the file, the field and
-        both values. A codebook or geometry file fixes the user count, so
-        neither can be swept over n_users.
+        both values, or when the geometry file's links are degenerate in the
+        config's room (see los_links). A codebook or geometry file fixes the
+        user count, so neither can be swept over n_users.
         """
         for name in ("codebook", "geometry"):
             if getattr(self, name) and self.sweep == "n_users":
@@ -172,7 +191,7 @@ class ExperimentConfig:
                 )
         if geom is not None:
             try:
-                geom.check_inside(self.room)
+                los_links(geom, RoomSpec(self.room, self.voxel), OreGrid.uniform_band(self.n_ores))
             except ValueError as exc:
                 raise ValueError(f"geometry file {self.geometry}: {exc}") from None
         return scene, cb, geom
@@ -189,7 +208,8 @@ class ExperimentConfig:
         sections = {
             "experiment": {k: types[k] for k in _EXPERIMENT_KEYS},
             "scenario": {k: t for k, t in types.items() if k not in _EXPERIMENT_KEYS},
-            "joint": {f.name: f.type for f in fields(JointConfig)},
+            # a point's seed is its child_seed, so [joint] has no seed key
+            "joint": {f.name: f.type for f in fields(JointConfig) if f.name != "seed"},
         }
         kw = {name: {} for name in sections}
         for name in cp.sections():
@@ -204,9 +224,12 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{path}: [{name}] {key} = {cp[name][key]!r}: {exc}"
                     ) from None
-        return cls(
-            **kw["experiment"], **kw["scenario"], joint=JointConfig(**kw["joint"])
-        )
+        try:
+            return cls(
+                **kw["experiment"], **kw["scenario"], joint=JointConfig(**kw["joint"])
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_value(section, key, typ):
@@ -227,11 +250,15 @@ def _parse_value(section, key, typ):
 
 
 def child_seed(master: int, value, trial: int) -> int:
-    """Deterministic per-(sweep value, trial) seed; stable across releases."""
-    key = np.random.SeedSequence(
-        (int(master), int(round(float(value) * 1000)), int(trial))
-    )
-    return int(key.generate_state(1, np.uint64)[0])
+    """Deterministic per-(sweep value, trial) seed; stable across releases.
+
+    A negative value key (a sweep value below zero, say a negative SNR)
+    enters as its magnitude and a fourth entropy word, so the seeds of the
+    non-negative keys stay as they were.
+    """
+    k = int(round(float(value) * 1000))
+    key = (int(master), k, int(trial)) if k >= 0 else (int(master), -k, int(trial), 1)
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
 def default_geometry(n_users, n_antennas, room, seed) -> Geometry:
@@ -268,23 +295,29 @@ def default_geometry(n_users, n_antennas, room, seed) -> Geometry:
     return Geometry(users, ap, irs)
 
 
+def _sweep_point(cfg: ExperimentConfig, value):
+    """(user count, JointConfig) of the sweep point at value, before its
+    child seed is set; the JointConfig checks the value."""
+    n_users, jc = cfg.n_users, cfg.joint
+    if cfg.sweep == "ebn0_db":
+        jc = replace(jc, ebn0_db=float(value))
+    elif cfg.sweep == "n_users":
+        n_users = int(value)
+    elif cfg.sweep == "mu":
+        jc = replace(jc, mu=float(value))
+    elif cfg.sweep == "packets":
+        jc = replace(jc, n_packets=int(value))
+    return n_users, jc
+
+
 def build_system(cfg: ExperimentConfig, value, trial: int):
     """Materialize (truth scene, links, codebook, prior, joint config) for
     one sweep point and trial. A part read from a file (cfg.files) is the
     same for every point; a generated part (user drop, scene draw) is drawn
     per point and trial."""
     seed = child_seed(cfg.seed, value, trial)
-    jc = cfg.joint
-    n_users, mu = cfg.n_users, jc.mu
-    if cfg.sweep == "ebn0_db":
-        jc = replace(jc, ebn0_db=float(value))
-    elif cfg.sweep == "n_users":
-        n_users = int(value)
-    elif cfg.sweep == "mu":
-        mu = float(value)
-    elif cfg.sweep == "packets":
-        jc = replace(jc, n_packets=int(value))
-    jc = replace(jc, mu=mu, seed=seed)
+    n_users, jc = _sweep_point(cfg, value)
+    jc = replace(jc, seed=seed)
 
     spec = RoomSpec(cfg.room, cfg.voxel)
     truth, cb, geom = cfg.files

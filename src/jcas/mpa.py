@@ -85,7 +85,6 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
             f"M^N_u = {m}^{n_u} too large to enumerate (guard: {_ML_GUARD_BITS} bits)"
         )
     n_combos = m**n_u
-    cols = np.stack(cb.matrices)  # (N_u, R, M)
     n_t, r_n = y.shape[0], y.shape[1] * y.shape[2]
     y_flat = y.reshape(n_t, r_n)
     y_pow = np.sum(np.abs(y_flat) ** 2, axis=1)[:, None]
@@ -97,7 +96,7 @@ def ml_decode(y, h, cb: Codebook) -> DecodeResult:
         idx = np.arange(start, min(start + chunk, n_combos))
         digits = _combo_digits(idx, m, n_u).T
         # noiseless mean per (combo, r, n): sum_u h[r,u,n] * C_u(m_u, r)
-        cw = cols[np.arange(n_u)[:, None], :, digits]  # (N_u, C, R)
+        cw = cb.matrices[np.arange(n_u)[:, None], :, digits]  # (N_u, C, R)
         mean = np.einsum("ucr,run->crn", cw, h).reshape(len(idx), r_n)
         d2 = (
             y_pow

@@ -20,14 +20,17 @@ __all__ = [
 ]
 
 _DIV_TOL = 1e-9
+# voxels in the largest grid whose float64 values one array can hold
+_MAX_VOXELS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
 class RoomSpec:
     """Room dimensions and voxel dimensions, all in meters.
 
-    Each room dimension must be an exact integer multiple of the matching
-    voxel dimension.
+    Each dimension must be positive and finite, each room dimension an
+    exact integer multiple (at least one) of the matching voxel dimension,
+    and one array must be able to hold the grid's values.
     """
 
     room_dims: tuple  # (Lx, Ly, Lz)
@@ -38,16 +41,20 @@ class RoomSpec:
         vox = tuple(float(v) for v in self.voxel_dims)
         if len(room) != 3 or len(vox) != 3:
             raise ValueError("room_dims and voxel_dims must have 3 entries")
-        if any(v <= 0 for v in room + vox):
-            raise ValueError("room and voxel dimensions must be positive")
+        if not all(0 < v < math.inf for v in room + vox):
+            raise ValueError("room and voxel dimensions must be positive and finite")
         for L, l in zip(room, vox):
             n = L / l
             if abs(n - round(n)) > _DIV_TOL * max(1.0, n):
                 raise ValueError(
                     f"room dimension {L} is not an integer multiple of voxel dimension {l}"
                 )
+            if round(n) < 1:
+                raise ValueError(f"room dimension {L} holds no voxel of dimension {l}")
         object.__setattr__(self, "room_dims", room)
         object.__setattr__(self, "voxel_dims", vox)
+        if self.n_voxels > _MAX_VOXELS:
+            raise ValueError(f"grid {self.grid_shape} has more voxels than an array can hold")
 
     @property
     def grid_shape(self):

@@ -60,22 +60,23 @@ class _EdgeTables:
 class Codebook:
     """Per-user sparse codeword matrices.
 
-    matrices[u] is the (R, M) complex codeword matrix of user u. max_d_f is
-    the largest per-ORE user count (the common d_f of a regular book, where
-    d_f * R = d_v * N_u).
+    matrices is the (N_u, R, M) complex array of the book: matrices[u] is
+    user u's (R, M) codeword matrix. max_d_f is the largest per-ORE user
+    count (the common d_f of a regular book, where d_f * R = d_v * N_u).
 
-    A book is immutable and valid from construction: matrices holds read-only
-    copies of the inputs, and CodebookError is raised unless M >= 2, each
-    user's codewords are all nonzero on the same d_v >= 1 rows (its support),
-    d_v is common to all users, and the ORE loads are balanced (all d_f, or
-    within one of d_v * N_u / R). graph is the FactorGraph of the supports.
+    A book is immutable and valid from construction: matrices is a read-only
+    copy of the inputs, and CodebookError is raised unless every entry and
+    codeword energy is finite, M >= 2, each user's codewords are all nonzero
+    on the same d_v >= 1 rows (its support), d_v is common to all users, and
+    the ORE loads are balanced (all d_f, or within one of d_v * N_u / R).
+    graph is the FactorGraph of the supports.
     """
 
-    matrices: tuple = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
     graph: FactorGraph = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(np.array(m, dtype=complex) for m in self.matrices)
+        mats = [np.asarray(m, dtype=complex) for m in self.matrices]
         if not mats:
             raise CodebookError("codebook needs at least one user")
         shape = mats[0].shape
@@ -84,10 +85,18 @@ class Codebook:
         for u, m in enumerate(mats):
             if m.shape != shape:
                 raise CodebookError(f"user {u}: codeword matrix shape {m.shape} != {shape}")
-            if not np.isfinite(m).all():
-                r, c = np.argwhere(~np.isfinite(m))[0]
-                raise CodebookError(f"user {u} codeword {c}: entry {m[r, c]} is not finite")
-            m.flags.writeable = False
+        mats = np.stack(mats)
+        bad = np.argwhere(~np.isfinite(mats))
+        if bad.size:
+            u, r, c = bad[0]
+            raise CodebookError(f"user {u} codeword {c}: entry {mats[u, r, c]} is not finite")
+        with np.errstate(over="ignore"):
+            energy = np.sum(np.abs(mats) ** 2, axis=1)  # (N_u, M)
+        bad = np.argwhere(~np.isfinite(energy))
+        if bad.size:  # noise_sigma scales the noise by their mean
+            u, c = bad[0]
+            raise CodebookError(f"user {u} codeword {c}: energy {energy[u, c]} is not finite")
+        mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
         n_ores, n_cw = shape
         if n_cw < 2:
@@ -130,16 +139,12 @@ class Codebook:
 
     @property
     def n_ores(self):
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def m(self):
         """Codewords per user."""
-        return self.matrices[0].shape[1]
-
-    def support(self, u):
-        """Row indices where user u's codewords are nonzero."""
-        return self.graph.omega_u[u]
+        return self.matrices.shape[2]
 
     @property
     def d_v(self):
@@ -219,23 +224,16 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
     if m < 2:  # before the phases below divide by m
         raise CodebookError(f"need M >= 2 codewords per user, got {m}")
     supports = _balanced_supports(n_users, n_ores, d_v)
-    # per-ORE rotation slot for each of its users
-    rot_index = {}
-    loads = [0] * n_ores
-    for u, sup in enumerate(supports):
-        for r in sup:
-            rot_index[(u, r)] = loads[r]
-            loads[r] += 1
-    mats = []
+    lam = [[u for u, sup in enumerate(supports) if r in sup] for r in range(n_ores)]
+    mats = np.zeros((n_users, n_ores, m), dtype=complex)
     amp = 1.0 / np.sqrt(d_v)
+    ms = np.arange(m)
     for u, sup in enumerate(supports):
-        cm = np.zeros((n_ores, m), dtype=complex)
-        ms = np.arange(m)
         for t, r in enumerate(sup):
             sign = 1 if t % 2 == 0 else -1
-            rot = rot_index[(u, r)] * 2 * np.pi / (m * loads[r])
-            cm[r, :] = amp * np.exp(1j * (sign * 2 * np.pi * ms / m + rot))
-        mats.append(cm)
+            # the user's rotation slot is its place among the users of ORE r
+            rot = lam[r].index(u) * 2 * np.pi / (m * len(lam[r]))
+            mats[u, r] = amp * np.exp(1j * (sign * 2 * np.pi * ms / m + rot))
     return Codebook(mats)
 
 
@@ -275,27 +273,24 @@ def load_codebook(path) -> Codebook:
         n_u, r, m, d_v = (int(x) for x in head[1:])
     except ValueError:
         raise CodebookError(f"{path}: malformed header: {lines[0]!r}") from None
+    if min(n_u, r, m, d_v) < 1:
+        raise CodebookError(f"{path}: header counts must be >= 1: {lines[0]!r}")
     if len(lines) != 1 + n_u * m:
         raise CodebookError(
             f"{path}: expected {n_u * m} codeword lines, got {len(lines) - 1}"
         )
-    mats = []
-    for u in range(n_u):
-        cm = np.zeros((r, m), dtype=complex)
-        for mi in range(m):
-            line = lines[1 + u * m + mi]
-            parts = line.split()
-            if len(parts) != r:
-                raise CodebookError(
-                    f"{path}: user {u} codeword {mi}: expected {r} entries"
-                )
-            try:
-                cm[:, mi] = [complex(p) for p in parts]
-            except ValueError:
-                raise CodebookError(
-                    f"{path}: user {u} codeword {mi}: malformed entry in {line!r}"
-                ) from None
-        mats.append(cm)
+    mats = np.zeros((n_u, r, m), dtype=complex)
+    for i, line in enumerate(lines[1:]):
+        u, mi = divmod(i, m)
+        parts = line.split()
+        if len(parts) != r:
+            raise CodebookError(f"{path}: user {u} codeword {mi}: expected {r} entries")
+        try:
+            mats[u, :, mi] = [complex(p) for p in parts]
+        except ValueError:
+            raise CodebookError(
+                f"{path}: user {u} codeword {mi}: malformed entry in {line!r}"
+            ) from None
     try:
         cb = Codebook(mats)
     except CodebookError as exc:

@@ -48,9 +48,8 @@ def codeword_tensor(symbols, cb: Codebook):
         )
     if np.any(symbols < 0) or np.any(symbols >= cb.m):
         raise ValueError("symbol index out of range for this codebook")
-    cols = np.stack(cb.matrices)  # (N_u, R, M)
-    # fancy-index per user: E[t, r, u] = cols[u, r, m[t, u]]
-    return cols[np.arange(cb.n_users)[None, :], :, symbols].transpose(0, 2, 1)
+    # fancy-index per user: E[t, r, u] = matrices[u, r, m[t, u]]
+    return cb.matrices[np.arange(cb.n_users)[None, :], :, symbols].transpose(0, 2, 1)
 
 
 def transmit(symbols, h, cb: Codebook, sigma2: float, seed=None) -> np.ndarray:

@@ -1,12 +1,16 @@
 import csv
 import filecmp
+import importlib.util
+import io
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from jcas.harness import (
     default_geometry,
     run_experiment,
 )
-from jcas.channel import save_geometry
+from jcas.channel import Geometry, load_geometry, save_geometry
 from jcas.joint import JointConfig
 from jcas.scene import RoomSpec, load_scene, random_scene, save_scene
 from jcas.scma import build_codebook, default_codebook, save_codebook
@@ -89,7 +93,7 @@ def test_config_validation(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[scenario]\nm = 0\n")
     assert main(["run", str(ini)]) == 1
-    assert "config error: m must be >= 2" in capsys.readouterr().err
+    assert f"config error: {ini}: m must be >= 2" in capsys.readouterr().err
     for text, where in (
         ("[joint]\nnot_a_key = 1\n", r"\[joint\] key 'not_a_key'"),
         ("[experiment]\nvaluess = 0 5\n", r"\[experiment\] key 'valuess'"),
@@ -138,7 +142,7 @@ def _write_ini(cfg: ExperimentConfig, path):
     for section, obj, keys in (
         ("experiment", cfg, exp),
         ("scenario", cfg, scen),
-        ("joint", cfg.joint, [f.name for f in fields(JointConfig)]),
+        ("joint", cfg.joint, [f.name for f in fields(JointConfig) if f.name != "seed"]),
     ):
         lines.append(f"[{section}]")
         for key in keys:
@@ -170,19 +174,25 @@ def _joint_configs(draw):
         ebn0_db=draw(st.floats(-30.0, 60.0)),
         decoder=draw(st.sampled_from(["mpa", "ml", "genie"])),
         ore_mode=draw(st.sampled_from(["user_first", "all_ores"])),
-        seed=draw(st.integers(0, 2**63)),
     )
+
+
+def _non_integral(lo, hi):
+    # from_file reads integral values as int, so floats are drawn non-integral
+    return st.floats(lo, hi, exclude_max=True).filter(lambda v: not v.is_integer())
 
 
 @st.composite
 def _experiment_configs(draw):
+    """Configs whose every sweep point can run: values each axis accepts."""
     sweep = draw(st.sampled_from(["ebn0_db", "n_users", "mu", "packets"]))
-    # from_file reads integral values as int, so floats are drawn non-integral
-    value = st.integers(-100, 1000) | st.floats(-100.0, 100.0).filter(
-        lambda v: not v.is_integer()
-    )
-    if sweep == "n_users":
-        value = value.filter(lambda v: v >= 1)
+    joint = draw(_joint_configs())
+    value = {
+        "ebn0_db": st.integers(-100, 1000) | _non_integral(-100.0, 100.0),
+        "n_users": st.integers(1, 1000),
+        "mu": st.just(0) | _non_integral(0.0, 1.0),
+        "packets": st.integers(max(joint.n_b, joint.n_pilot, 1), 1000),
+    }[sweep]
     n_ores = draw(_counts)
     voxel = draw(st.tuples(*[st.floats(0.01, 5.0)] * 3))
     cells = draw(st.tuples(*[st.integers(1, 10)] * 3))
@@ -190,7 +200,7 @@ def _experiment_configs(draw):
         sweep=sweep,
         values=tuple(draw(st.lists(value, min_size=1, max_size=5))),
         trials=draw(st.integers(1, 100)),
-        seed=draw(st.integers(-(2**31), 2**31)),
+        seed=draw(st.integers(0, 2**63)),
         output=draw(_paths),
         record_timing=draw(st.booleans()),
         scene=draw(st.none() | _paths),
@@ -204,7 +214,7 @@ def _experiment_configs(draw):
         sparsity=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         room=tuple(l * k for l, k in zip(voxel, cells)),
         voxel=voxel,
-        joint=draw(_joint_configs()),
+        joint=joint,
     )
 
 
@@ -320,11 +330,13 @@ def test_run_rejects_file_that_disagrees_with_config(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, entry", [("codebook", "nan+0j"), ("geometry", "nan")])
+@pytest.mark.parametrize(
+    "name, entry", [("codebook", "nan+0j"), ("codebook", "1e200+0j"), ("geometry", "nan")]
+)
 def test_validate_and_run_reject_a_non_finite_file_entry(tmp_path, capsys, name, entry):
-    """A NaN codeword entry or coordinate makes the file invalid: jcas
-    validate exits 1 and jcas run exits 1 before any point runs, both naming
-    the file."""
+    """A NaN codeword entry or coordinate, or a codeword of infinite energy,
+    makes the file invalid: jcas validate exits 1 and jcas run exits 1
+    before any point runs, both naming the file."""
     path = _scenario_files(tmp_path)[name]
     with open(path) as f:
         lines = f.read().splitlines()
@@ -358,6 +370,135 @@ def test_cli_run_rejects_nan_snr_and_bad_gate(tmp_path, capsys, key, raw):
     assert main(["run", str(ini)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{key} must be" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+_SWEEP_INI = """
+[experiment]
+sweep = {sweep}
+values = {values}
+trials = 1
+seed = {seed}
+output = {out}
+[scenario]
+n_antennas = 2
+room = {room}
+voxel = {voxel}
+[joint]
+n_packets = 2
+n_slots = 16
+n_f = 2
+{joint}
+"""
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"values": "nan"}, r"sweep values must be finite .*, got \(nan,\)"),
+        ({"values": "0 nan"}, r"sweep values must be finite .*, got \(0, nan\)"),
+        ({"values": "-inf"}, r"sweep values must be finite"),
+        ({"sweep": "packets", "values": "inf"}, r"sweep values must be finite"),
+        ({"sweep": "n_users", "values": "nan"}, r"sweep values must be finite"),
+        ({"sweep": "mu", "values": "1.5"},
+         r"sweep value mu = 1.5: momentum coefficient must lie in \[0, 1\), got 1.5"),
+        ({"sweep": "packets", "values": "0"},
+         r"sweep value packets = 0: need at least one packet"),
+        ({"sweep": "packets", "values": "2.5"},
+         r"packets sweep values must be whole numbers, got \(2.5,\)"),
+        ({"sweep": "n_users", "values": "2.5"},
+         r"n_users sweep values must be whole numbers, got \(2.5,\)"),
+        ({"seed": "-3"}, r"seed must be >= 0, got -3"),
+        ({"joint": "seed = 5"}, r"unknown \[joint\] key 'seed'"),
+        ({"room": "inf 4 4"}, r"room \(inf, 4.0, 4.0\) .*: .*positive and finite"),
+        ({"voxel": "1e200 0.5 0.5"}, r"room dimension 4.0 holds no voxel of dimension 1e\+200"),
+    ],
+    ids=["nan", "nan-among-values", "-inf-snr", "inf-packets", "nan-users", "mu-1.5",
+         "no-packets", "half-packet", "half-user", "negative-seed", "joint-seed",
+         "infinite-room", "empty-axis"],
+)
+def test_cli_run_rejects_values_and_seeds_no_point_can_run(tmp_path, capsys, edit, message):
+    """A sweep value, seed or room that no point can run is a config error:
+    jcas run exits 1 before any point runs, naming the config file."""
+    fields = {"sweep": "ebn0_db", "values": "0", "seed": "1", "room": "4 4 4",
+              "voxel": "0.5 0.5 0.5", "joint": "", **edit}
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_SWEEP_INI.format(out=tmp_path / "out", **fields))
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {ini}: ") and re.search(message, err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"seed": -3}, "^seed must be >= 0"),
+     ({"joint": JointConfig(seed=5)}, "^joint.seed is set per point from the master seed")],
+)
+def test_config_rejects_a_negative_or_joint_seed(kw, message):
+    """Every point's seed is child_seed(seed, value, trial): a negative master
+    seed cannot key it, and a joint seed would be silently replaced."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kw)
+
+
+def test_negative_sweep_values_run(tmp_path):
+    """A negative SNR keys its own child seeds; the seeds of non-negative
+    values do not move."""
+    assert child_seed(1, 10, 0) == 17254082300398854598
+    seeds = {child_seed(1, v, t) for v in (-5, 5, -0.5, 0.5) for t in (0, 1)}
+    assert len(seeds) == 8
+    cfg = ExperimentConfig(
+        sweep="ebn0_db", values=(-5,), trials=1, n_antennas=2,
+        joint=JointConfig(n_packets=2, n_slots=16, n_f=2),
+    )
+    messages = []
+    paths = run_experiment(cfg, output_dir=str(tmp_path / "out"), log=messages.append)
+    assert messages == [] and not (tmp_path / "out" / "failures.csv").exists()
+    assert str(tmp_path / "out" / "scene_ebn0_db_-5.txt") in paths
+
+
+@pytest.mark.parametrize(
+    "name, header, message",
+    [("scene", "room inf 4 4 voxel 0.5 0.5 0.5", "positive and finite"),
+     ("codebook", "scma 6 -1 4 2", "header counts must be >= 1")],
+)
+def test_validate_and_run_reject_a_bad_file_header(tmp_path, capsys, name, header, message):
+    """An infinite room or a negative codebook count in a file header makes
+    the file invalid: jcas validate and jcas run exit 1, naming the file."""
+    path = _scenario_files(tmp_path)[name]
+    with open(path) as f:
+        lines = f.read().splitlines()
+    with open(path, "w") as f:
+        f.write("\n".join([header] + lines[1:]) + "\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err, err
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        _FILE_INI.format(sweep="ebn0_db", out=tmp_path / "out", name=name, path=path)
+    )
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_degenerate_geometry_file(tmp_path, capsys):
+    """A geometry file whose links are degenerate in the config's room would
+    fail every point alike, so it is a config error naming the file."""
+    path = _scenario_files(tmp_path)["geometry"]
+    geom = load_geometry(path)
+    irs = geom.irs.copy()
+    irs[0] = geom.ap[0] + (0.1, 0.0, 0.0)  # 0.1 m from an antenna, inside the room
+    save_geometry(path, Geometry(geom.users, geom.ap, irs))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        _FILE_INI.format(sweep="ebn0_db", out=tmp_path / "out", name="geometry", path=path)
+    )
+    assert main(["run", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: geometry file {path}: degenerate geometry: IRS-AP"), err
     assert not (tmp_path / "out").exists()
 
 
@@ -744,3 +885,76 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["|"]
+
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_outputs.py"
+_FUZZ_TOKENS = ("nan", "inf", "-inf", "-1", "0", "1e200", "x", "1e200+0j")
+_PATH_KEYS = ("output", "scene", "geometry", "codebook")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """(directory, {file name: lines}) of config I's three scenario files
+    and a config that names them, trimmed to one value, one trial and 2
+    packets, with its output in the directory."""
+    spec = importlib.util.spec_from_file_location("reference_outputs", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    base = tmp_path_factory.mktemp("fuzz_base")
+    cfg = tool.file_config(str(base))
+    cfg = replace(
+        cfg, values=cfg.values[:1], trials=1, output=str(base / "out"),
+        joint=replace(cfg.joint, n_packets=2),
+    )
+    _write_ini(cfg, base / "exp.ini")
+    return base, {p.name: p.read_text().splitlines() for p in sorted(base.iterdir())}
+
+
+def _mutable_tokens(name, lines):
+    """(line, token) positions a mutation may replace: the values of a
+    config's keys but its paths, and every number of a scenario file (not
+    its section headers or header keywords)."""
+    spots = []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if name.endswith(".ini"):
+            if "=" in tokens and tokens[0] not in _PATH_KEYS:
+                spots += [(i, j) for j in range(tokens.index("=") + 1, len(tokens))]
+            continue
+        for j, token in enumerate(tokens):
+            try:
+                complex(token)
+            except ValueError:
+                continue
+            spots.append((i, j))
+    return spots
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_boundary_fuzz(tmp_path_factory, fuzz_base, data):
+    """One token of the config or of one scenario file replaced by a value
+    at or beyond the boundary: jcas validate and jcas run exit 0 or 1, never
+    2 and never with an exception, and an exit 1 names the mutated file."""
+    base, texts = fuzz_base
+    name = data.draw(st.sampled_from(sorted(texts)))
+    i, j = data.draw(st.sampled_from(_mutable_tokens(name, texts[name])))
+    token = data.draw(st.sampled_from(_FUZZ_TOKENS))
+    work = tmp_path_factory.mktemp("fuzz")
+    for fname, lines in texts.items():
+        if fname == name:
+            tokens = lines[i].split()
+            tokens[j] = token
+            lines = lines[:i] + [" ".join(tokens)] + lines[i + 1:]
+        text = "\n".join(lines) + "\n"
+        (work / fname).write_text(text.replace(str(base), str(work)))
+    commands = [["run", str(work / "exp.ini")]]
+    if name != "exp.ini":
+        commands.append(["validate", str(work / name)])
+    for argv in commands:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), (argv, name, i, j, token, err.getvalue())
+        if code == 1:
+            assert str(work / name) in err.getvalue(), (argv, token, err.getvalue())

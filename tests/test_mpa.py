@@ -72,7 +72,7 @@ def test_mpa_collision_free_posterior_oracle():
     rx = transmit(frame, h, cb, sigma2, seed=7)
     res = mpa_decode(rx, h, cb, sigma2)
     for u in range(2):
-        r = cb.support(u)[0]
+        r = cb.graph.omega_u[u][0]
         for t in range(10):
             logp = np.zeros(cb.m)
             for m in range(cb.m):

@@ -26,6 +26,28 @@ def test_nonpositive_dimensions_rejected():
         RoomSpec((4.0, -4.0, 4.0), (0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "room, voxel, match",
+    [
+        ((np.inf, 4.0, 4.0), (0.5, 0.5, 0.5), "positive and finite"),
+        ((np.nan, 4.0, 4.0), (0.5, 0.5, 0.5), "positive and finite"),
+        ((4.0, 4.0, 4.0), (np.inf, 0.5, 0.5), "positive and finite"),
+        ((4.0, 4.0, 4.0), (1e200, 0.5, 0.5), "room dimension 4.0 holds no voxel of dimension 1e"),
+        ((1e200, 4.0, 4.0), (0.5, 0.5, 0.5), "more voxels than an array can hold"),
+    ],
+)
+def test_non_finite_dimensions_and_empty_axes_rejected(room, voxel, match):
+    with pytest.raises(ValueError, match=match):
+        RoomSpec(room, voxel)
+
+
+def test_scene_header_with_an_infinite_room_names_the_file(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text("room inf 4 4 voxel 0.5 0.5 0.5\n")
+    with pytest.raises(ValueError, match=f"{path}: scene header .*positive and finite"):
+        load_scene(path)
+
+
 def test_voxel_center_indexing_is_x_fastest(room):
     # index = ix + nx*(iy + ny*iz) with nx = ny = 8
     centers = voxel_centers(room)

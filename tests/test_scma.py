@@ -33,7 +33,7 @@ def test_default_codebook_unit_energy():
 
 def test_supports_are_distinct_when_possible():
     cb = default_codebook()
-    sups = {cb.support(u) for u in range(cb.n_users)}
+    sups = {cb.graph.omega_u[u] for u in range(cb.n_users)}
     assert len(sups) == 6  # C(4,2) = 6 distinct supports exist and are used
 
 
@@ -56,7 +56,7 @@ def test_balanced_irregular_book():
 
 def test_support_reuse_allowed_when_needed():
     cb = build_codebook(2, 2, m=2, d_v=2)  # only one possible support
-    assert cb.support(0) == cb.support(1)
+    assert cb.graph.omega_u[0] == cb.graph.omega_u[1]
 
 
 def test_build_rejects_impossible_dv():
@@ -82,7 +82,7 @@ def test_load_rejects_one_codeword_book(tmp_path):
 def test_validate_catches_support_mismatch():
     cb = default_codebook()
     mats = [m.copy() for m in cb.matrices]
-    mats[0][cb.support(0)[0], 1] = 0.0  # kill one entry of one codeword
+    mats[0][cb.graph.omega_u[0][0], 1] = 0.0  # kill one entry of one codeword
     with pytest.raises(CodebookError):
         Codebook(mats)
 
@@ -111,7 +111,7 @@ def _codeword_entry(value):
     """The default book with one entry of user 0's codeword 1 set to value."""
     cb = default_codebook()
     mats = [m.copy() for m in cb.matrices]
-    mats[0][cb.support(0)[0], 1] = value
+    mats[0][cb.graph.omega_u[0][0], 1] = value
     return mats
 
 
@@ -124,12 +124,14 @@ def _codeword_entry(value):
         (_codeword_entry(0.0), r"user 0 codeword 1: nonzero rows .* do not match the user support"),
         (_codeword_entry(complex("nan+0j")), r"user 0 codeword 1: entry \(nan\+0j\) is not finite"),
         (_codeword_entry(complex("inf-1j")), r"user 0 codeword 1: entry \(inf-1j\) is not finite"),
+        (_codeword_entry(complex("1e200+0j")), r"user 0 codeword 1: energy inf is not finite"),
         (_book((0, 1), (1, 2), (0,)), r"user 2: support size 1 != d_v 2"),
         (_book((0, 1), (0, 1), (0, 1)), r"ORE 0: used by 3 users, expected d_f = 2"),
         (_book((0, 1), (0, 1)), r"ORE 2: load 0 outside balanced range \[1, 2\]"),
     ],
     ids=["one-codeword", "empty-support", "empty-later-support", "codeword-support-mismatch",
-         "nan-entry", "inf-entry", "unequal-d_v", "unbalanced-regular", "unbalanced-irregular"],
+         "nan-entry", "inf-entry", "huge-entry", "unequal-d_v", "unbalanced-regular",
+         "unbalanced-irregular"],
 )
 def test_constructor_rejects_invalid_book(mats, match):
     with pytest.raises(CodebookError, match=match):
@@ -140,7 +142,7 @@ def test_factor_graph_adjacency_consistent():
     cb = default_codebook()
     g = factor_graph(cb)
     for u in range(cb.n_users):
-        assert g.omega_u[u] == cb.support(u)
+        assert g.omega_u[u] == tuple(np.flatnonzero(cb.matrices[u].any(axis=1)))
         for r in g.omega_u[u]:
             assert u in g.lambda_r[r]
     for r, users in enumerate(g.lambda_r):
@@ -171,6 +173,14 @@ def test_codebook_load_errors(tmp_path):
         load_codebook(path)
 
 
+@pytest.mark.parametrize("header", ["scma 6 -1 4 2", "scma 0 4 4 2", "scma 6 4 4 0"])
+def test_load_rejects_header_counts_below_one(tmp_path, header):
+    path = tmp_path / "cb.txt"
+    path.write_text(f"{header}\n0.5+0j 0.5+0j 0.5+0j 0.5+0j\n")
+    with pytest.raises(CodebookError, match=rf"{path}: header counts must be >= 1"):
+        load_codebook(path)
+
+
 def test_factor_graph_is_built_once_per_book():
     cb = build_codebook(12, 7, m=4, d_v=2)
     assert factor_graph(cb) is factor_graph(cb)
@@ -182,10 +192,11 @@ def test_codebook_holds_read_only_copies():
     cb = Codebook(src)
     graph = factor_graph(cb)
     src[0][:] = 0  # the caller's arrays are not the book's
+    assert cb.matrices.shape == (6, 4, 4) and not cb.matrices.flags.writeable
     assert np.any(cb.matrices[0] != 0)
     with pytest.raises(ValueError):
         cb.matrices[0][0, 0] = 1.0
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         cb.matrices[0] = src[0]
     assert factor_graph(cb) is graph
 
