@@ -1,10 +1,12 @@
 import itertools
 import pickle
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcas import mpa
 from jcas.mpa import ml_decode, mpa_decode, ser
 from jcas.scma import build_codebook, default_codebook
 from jcas.transceiver import noise_sigma, random_frame, transmit
@@ -218,3 +220,102 @@ def test_pickled_codebook_decodes_bit_identically(shape):
     b = mpa_decode(rx, h, back, sigma2)
     assert np.array_equal(a.indices, b.indices)
     assert a.posteriors.tobytes() == b.posteriors.tobytes()
+
+
+def _spy_pools(monkeypatch):
+    """Record, per pass started through mpa._start, whether a helper ran it
+    (the recursion below a pass never uses one)."""
+    seen = []
+    start = mpa._start
+
+    def spy(pool, fn, *args):
+        seen.append(pool is not None)
+        return start(pool, fn, *args)
+
+    monkeypatch.setattr(mpa, "_start", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k_it", [1, 10])
+@pytest.mark.parametrize("n_ant", [1, 4])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("shape", [(20, 7, 2), (4, 4, 3), (14, 4, 2), (6, 4, 2)])
+def test_helper_thread_decodes_bit_identically(monkeypatch, shape, m, n_ant, k_it):
+    """Every decode threaded (threshold 0) and none threaded give the same bytes."""
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=m, d_v=d_v)
+    h = _rand_channel(cb, n_ant, 26)
+    sigma2 = noise_sigma(6.0, cb)
+    rx = transmit(random_frame(12, cb, 0, 27), h, cb, sigma2, seed=28)
+    seen = _spy_pools(monkeypatch)
+    out = {}
+    for threshold in (0, 1 << 62):
+        monkeypatch.setattr(mpa, "_THREAD_ENTRIES", threshold)
+        seen.clear()
+        out[threshold] = mpa_decode(rx, h, cb, sigma2, k_it)
+        assert any(seen) == (threshold == 0)
+    a, b = out.values()
+    assert a.posteriors.tobytes() == b.posteriors.tobytes()
+    assert np.array_equal(a.indices, b.indices)
+
+
+@pytest.mark.parametrize(
+    "shape, n_ant, n_slots, threaded",
+    [((20, 7, 2), 4, 32, True), ((6, 4, 2), 16, 64, False)],
+    ids=["crowded", "sweep"],
+)
+def test_helper_thread_engages_on_large_tables(monkeypatch, shape, n_ant, n_slots, threaded):
+    """At the real threshold the criterion-4 shape (20 users on 7 OREs, M = 4,
+    4 antennas x 32 slots: 2,621,440 entries in its largest group) uses the
+    helper and the 16-antenna default book (262,144 entries) does not."""
+    n_users, n_ores, d_v = shape
+    cb = build_codebook(n_users, n_ores, m=4, d_v=d_v)
+    h = _rand_channel(cb, n_ant, 29)
+    sigma2 = noise_sigma(8.0, cb)
+    rx = transmit(random_frame(n_slots, cb, 0, 30), h, cb, sigma2, seed=31)
+    seen = _spy_pools(monkeypatch)
+    mpa_decode(rx, h, cb, sigma2, k_it=1)
+    assert any(seen) == threaded
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_helper_thread_is_joined_on_every_exit(monkeypatch, where):
+    """No thread outlives a threaded decode, also when a pass raises on the
+    calling thread (after the helper has started) or on the helper itself;
+    the error propagates with its own type."""
+    cb = build_codebook(6, 4, m=4, d_v=2)
+    h = _rand_channel(cb, 2, 32)
+    sigma2 = noise_sigma(6.0, cb)
+    rx = transmit(random_frame(8, cb, 0, 33), h, cb, sigma2, seed=34)
+    monkeypatch.setattr(mpa, "_THREAD_ENTRIES", 0)
+    before = threading.active_count()
+    mpa_decode(rx, h, cb, sigma2)
+    assert threading.active_count() == before
+
+    if where == "caller":
+        calls = []
+        joint = mpa._joint
+
+        def failing_joint(msgs):
+            calls.append(None)
+            if len(calls) == 2:  # the first is the operand of the helper's pass
+                raise _Boom("caller")
+            return joint(msgs)
+
+        monkeypatch.setattr(mpa, "_joint", failing_joint)
+    else:
+        likelihood = mpa._likelihood
+
+        def failing_likelihood(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise _Boom("helper")
+            return likelihood(*args)
+
+        monkeypatch.setattr(mpa, "_likelihood", failing_likelihood)
+    with pytest.raises(_Boom, match=where):
+        mpa_decode(rx, h, cb, sigma2)
+    assert threading.active_count() == before

@@ -1,15 +1,18 @@
-"""Time mpa_decode per decode on the captured inputs of two benchmark corpora.
+"""Time mpa_decode per decode on the captured inputs of the benchmark corpora.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/decode_timing.py [--rounds 7]
 
 Runs the closed loop once over each trial of the `converge` and `crowded`
-corpora of loopbench/worker.py (its `configs` and `WORKLOADS`), recording
-the arguments of every mpa_decode call the loop makes, self-iterations and
-feedback included. Then it replays the recorded inputs in interleaved rounds
-(converge, crowded, converge, ...) and prints, per workload, the number of
-decodes and the median over the rounds of the mean milliseconds per decode,
-with the fastest and slowest round. It runs the jcas on PYTHONPATH, so this
-one script times any two checkouts:
+corpora of loopbench/worker.py (its `configs` and `WORKLOADS`), and once over
+trial 0 of each `sweep` point (`SWEEP_VALUES`), recording the arguments of
+every mpa_decode call the loop makes, self-iterations and feedback included.
+Then it replays the recorded inputs in interleaved rounds (converge, crowded,
+sweep, converge, ...) and prints, per workload, the number of decodes, the
+largest degree group's table entries (G * M^L * B) and whether they reach
+the size at which a decode uses a helper thread, and the median over the
+rounds of the mean milliseconds per decode, with the fastest and slowest
+round. It runs the jcas on PYTHONPATH, so this one script times any two
+checkouts:
 
     PYTHONPATH=../parent/src python tools/decode_timing.py
     PYTHONPATH=src python tools/decode_timing.py
@@ -25,20 +28,21 @@ import sys
 import time
 
 LOOPBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "loopbench")
-WORKLOADS = ("converge", "crowded")
+WORKLOADS = ("converge", "crowded", "sweep")
 
 
 def capture(workload):
     """The (y, h, cb, sigma2, k_it) of every mpa_decode call of one pass over
-    a loop workload's corpus, in call order."""
+    a workload's corpus, in call order; for `sweep`, trial 0 of each point."""
     from jcas import harness, joint
 
     sys.path.insert(0, LOOPBENCH)
     try:
-        from worker import WORKLOADS as CORPORA, configs
+        from worker import SWEEP_VALUES, WORKLOADS as CORPORA, configs
     finally:
         sys.path.remove(LOOPBENCH)
     cfg, value = configs(workload)
+    values = SWEEP_VALUES if value is None else (value,)
     calls = []
     decode = joint.mpa_decode
 
@@ -48,9 +52,10 @@ def capture(workload):
 
     joint.mpa_decode = record
     try:
-        for trial in range(CORPORA[workload][1]):
-            truth, links, cb, prior, jc = harness.build_system(cfg, value, trial)
-            joint.JointRunner(truth, links, cb, prior, jc).run()
+        for value in values:
+            for trial in range(CORPORA[workload][1]):
+                truth, links, cb, prior, jc = harness.build_system(cfg, value, trial)
+                joint.JointRunner(truth, links, cb, prior, jc).run()
     finally:
         joint.mpa_decode = decode
     return calls
@@ -63,7 +68,7 @@ def main(argv=None):
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
 
-    from jcas.mpa import mpa_decode
+    from jcas import mpa
 
     calls = {w: capture(w) for w in WORKLOADS}
     ms = {w: [] for w in WORKLOADS}
@@ -71,12 +76,20 @@ def main(argv=None):
         for w in WORKLOADS:
             t0 = time.perf_counter()
             for y, h, cb, sigma2, k_it in calls[w]:
-                mpa_decode(y, h, cb, sigma2, k_it)
+                mpa.mpa_decode(y, h, cb, sigma2, k_it)
             ms[w].append((time.perf_counter() - t0) * 1e3 / len(calls[w]))
+    threshold = getattr(mpa, "_THREAD_ENTRIES", None)  # None before the helper thread
     for w in WORKLOADS:
+        # G * M^L * B of the largest degree group, as mpa_decode counts it
+        entries = max(
+            y.shape[0] * y.shape[2] * max(len(fns) * cw.shape[2] for fns, _, cw in cb._edges.groups)
+            for y, _, cb, _, _ in calls[w]
+        )
+        helper = threshold is not None and entries >= threshold
         print(
-            f"{w}: {len(calls[w])} decodes, median {statistics.median(ms[w]):.3f} ms "
-            f"per decode over {args.rounds} rounds "
+            f"{w}: {len(calls[w])} decodes, {entries} table entries, "
+            f"{'helper thread' if helper else 'one thread'}, "
+            f"median {statistics.median(ms[w]):.3f} ms per decode over {args.rounds} rounds "
             f"[{min(ms[w]):.3f}, {max(ms[w]):.3f}]"
         )
 
