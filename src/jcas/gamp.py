@@ -6,7 +6,10 @@ plus a Gaussian N(theta, sigma_x) carrying mass lam, truncated to [0, 1];
 alpha is the Gaussian mass falling outside (0, 1), folded back onto the
 spike. All sigmas are variances. The solver works on real systems; a
 complex measurement stack A x = h enters as [Re A; Im A] x = [Re h; Im h]
-(x is real), as sensing.sense builds it.
+(x is real), as sensing.sense builds it. A run stops when it settles (the
+residual or the image change falls below its tolerance), when its image
+change has stopped making new lows, at its iteration cap, or, when the
+residual runs away, by raising GampDivergence.
 """
 
 import itertools
@@ -27,6 +30,10 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * np.log(2 * np.pi)
 # relative image change at which a run has settled: ||x_t - x_{t-1}|| <= _X_TOL ||x_t||
 _X_TOL = 1e-4
+# updates a run may go without a new low of its relative image change before
+# it stops, not converged: the runs that never settle reach their lowest
+# change within about 60 updates and do not beat it again
+_STALL = 30
 
 
 def _ndtr(a: float) -> float:
@@ -185,6 +192,7 @@ def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
     res0 = None
     bad_streak = 0
     residual = np.inf
+    low, since_low = np.inf, 0
     for t in range(max_iter):
         # each matrix's two products run back to back (phi.T then phi across
         # iterations, phi2 then phi2.T within one), so a phi that nearly fits
@@ -215,8 +223,16 @@ def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
         x_old = x_hat
         x_hat = damping * x_new + (1 - damping) * x_hat
         sig_x = np.maximum(sig_v * gp_in, var_floor)
-        if np.linalg.norm(x_hat - x_old) <= _X_TOL * np.linalg.norm(x_hat):
+        step, size = np.linalg.norm(x_hat - x_old), np.linalg.norm(x_hat)
+        if step <= _X_TOL * size:
             return GampResult(x_hat, sig_x, t + 1, residual, True)
+        change = step / size if size > 0 else np.inf
+        if change < low:
+            low, since_low = change, 0
+        elif bad_streak == 0:  # a diverging run is left to the divergence rule
+            since_low += 1
+            if since_low >= _STALL:
+                return GampResult(x_hat, sig_x, t + 1, residual, False)
 
     return GampResult(x_hat, sig_x, max_iter, residual, False)
 
@@ -240,11 +256,17 @@ def gamp_solve(
     residual sum(|y - z|^2) drops below eps_t (default: 1e-12 times the
     measurement energy; checked before an update), or an update moves the
     image by at most 1e-4 relative, ||x_t - x_{t-1}|| <= 1e-4 * ||x_t||
-    (checked after the damped x update). Otherwise it stops, not converged,
-    after max_iter updates. iterations counts the updates done. The residual
-    also holds model error (e.g. from wrong decodes), so it may never reach
-    eps_t; the x-change rule ends such runs. Raises GampDivergence when the
-    residual exceeds 10x its initial value for 5 consecutive iterations.
+    (checked after the damped x update). The residual also holds model
+    error (e.g. from wrong decodes), so it may never reach eps_t; the
+    x-change rule ends such runs once the image settles. A third rule ends
+    a run whose image never settles: once the relative x change has gone
+    30 updates without a new low, the run stops, not converged, with its
+    current iterate, as a cap at that update would (the count pauses while
+    the residual is above 10x its initial value, so a diverging run is left
+    to the divergence rule). Otherwise it stops, not converged, after
+    max_iter updates. iterations counts the updates done. Raises
+    GampDivergence when the residual exceeds 10x its initial value for 5
+    consecutive iterations.
 
     restarts > 0 switches to a robust mode for hard (e.g. underdetermined)
     systems: the plain run plus `restarts` randomly re-initialized runs each

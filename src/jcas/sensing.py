@@ -193,7 +193,8 @@ def sense(
     q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w)
     # stop at the estimation-noise floor: the residual cannot fall below the
     # noise energy in the stacked rows; where model error from wrong decodes
-    # keeps it above even that, gamp_solve's x-change rule ends the run
+    # keeps it above even that, gamp_solve's x-change rule ends the run, or
+    # its stall rule once the image change stops making new lows
     eps_t = max(1e-12 * float(np.sum(yv**2)), sigma_w * len(yv))
     result = gamp_solve(phi, yv, q, eps_t=eps_t)
     x_hat = result.x

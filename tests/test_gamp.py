@@ -232,6 +232,73 @@ def test_gamp_stops_when_image_stops_moving(monkeypatch):
         assert rel <= 10 * gamp_module._X_TOL
 
 
+def _stalling_system():
+    """Noisy and underdetermined: the image change never falls to _X_TOL."""
+    rng = np.random.default_rng(1)
+    phi = rng.standard_normal((20, 40)) / np.sqrt(20)
+    x_true = np.zeros(40)
+    x_true[rng.choice(40, 5, replace=False)] = rng.uniform(0.2, 1, 5)
+    y = phi @ x_true + 0.1 * rng.standard_normal(20)
+    return phi, y, PriorParams(lam=5 / 40, theta=0.5, sigma_x=0.1, sigma_w=0.01)
+
+
+def test_gamp_stalled_run_returns_what_the_cap_would(monkeypatch):
+    """A run whose image change goes _STALL updates without a new low stops,
+    not converged, with exactly what a cap at that update returns."""
+    phi, y, q = _stalling_system()
+    res = gamp_solve(phi, y, q, eps_t=1e-6)
+    assert not res.converged and gamp_module._STALL < res.iterations < 200
+    capped = gamp_solve(phi, y, q, eps_t=1e-6, max_iter=res.iterations)
+    assert not capped.converged and capped.iterations == res.iterations
+    assert np.array_equal(res.x, capped.x)
+    assert np.array_equal(res.sigma_x, capped.sigma_x)
+    assert res.residual == capped.residual
+    # the stall rule is what ended it: without it the run goes to the cap
+    monkeypatch.setattr(gamp_module, "_STALL", 10**6)
+    assert gamp_solve(phi, y, q, eps_t=1e-6).iterations == 200
+
+
+def _diverging_loop_system():
+    """The GAMP system of packet 2 of trial 1 of a criterion-1 closed loop,
+    whose residual runs away while its image change stops making new lows."""
+    from jcas import harness, joint, sensing
+
+    cfg = harness.ExperimentConfig(
+        sweep="packets", values=(30,), trials=4, seed=11,
+        n_users=6, n_ores=4, d_v=2, m=4, n_antennas=4, sparsity=0.015,
+        joint=joint.JointConfig(
+            n_packets=30, n_slots=64, n_pilot=0, n_f=10, n_b=1, k_s=5, ebn0_db=10.0,
+        ),
+    )
+    runner = joint.JointRunner(*harness.build_system(cfg, 30, 1))
+    runner.forward_step(1)
+    runner.feedback(1)
+    systems = []
+    solve = sensing.gamp_solve
+
+    def capture(phi, y, q, **kwargs):
+        systems.append((phi, y, q, kwargs))
+        return solve(phi, y, q, **kwargs)
+
+    sensing.gamp_solve = capture
+    try:
+        trace = runner.forward_step(2)
+    finally:
+        sensing.gamp_solve = solve
+    assert trace.diverged and len(systems) == 1
+    return systems[0]
+
+
+def test_gamp_stall_rule_leaves_divergence_to_its_rule():
+    """The stall count pauses while the residual is above 10x its initial
+    value, so a run that diverges still raises GampDivergence where it did
+    (counting through the streak would stop this one at update 33)."""
+    phi, y, q, kwargs = _diverging_loop_system()
+    with pytest.raises(GampDivergence) as exc:
+        gamp_solve(phi, y, q, **kwargs)
+    assert exc.value.iteration == 33
+
+
 def test_gamp_stop_rule_at_one_iteration(monkeypatch):
     phi, y, q, eps_t = _noisy_system(0)
     one = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)

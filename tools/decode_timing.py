@@ -2,10 +2,10 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/decode_timing.py [--rounds 7]
 
-Runs the closed loop once over each trial of the `converge` and `crowded`
-corpora of loopbench/worker.py (its `configs` and `WORKLOADS`), and once over
-trial 0 of each `sweep` point (`SWEEP_VALUES`), recording the arguments of
-every mpa_decode call the loop makes, self-iterations and feedback included.
+Runs the closed loop once over each benchmark corpus (see corpus.py: each
+trial of `converge` and `crowded`, trial 0 of each `sweep` point), recording
+the arguments of every mpa_decode call the loop makes, self-iterations and
+feedback included.
 Then it replays the recorded inputs in interleaved rounds (converge, crowded,
 sweep, converge, ...) and prints, per workload, the number of decodes, the
 largest degree group's table entries (G * M^L * B) and whether they reach
@@ -22,27 +22,17 @@ runs. Report only: nothing asserts.
 """
 
 import argparse
-import os
 import statistics
-import sys
 import time
 
-LOOPBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "loopbench")
-WORKLOADS = ("converge", "crowded", "sweep")
+from corpus import WORKLOADS, corpus_runs
 
 
 def capture(workload):
     """The (y, h, cb, sigma2, k_it) of every mpa_decode call of one pass over
     a workload's corpus, in call order; for `sweep`, trial 0 of each point."""
-    from jcas import harness, joint
+    from jcas import joint
 
-    sys.path.insert(0, LOOPBENCH)
-    try:
-        from worker import SWEEP_VALUES, WORKLOADS as CORPORA, configs
-    finally:
-        sys.path.remove(LOOPBENCH)
-    cfg, value = configs(workload)
-    values = SWEEP_VALUES if value is None else (value,)
     calls = []
     decode = joint.mpa_decode
 
@@ -52,10 +42,8 @@ def capture(workload):
 
     joint.mpa_decode = record
     try:
-        for value in values:
-            for trial in range(CORPORA[workload][1]):
-                truth, links, cb, prior, jc = harness.build_system(cfg, value, trial)
-                joint.JointRunner(truth, links, cb, prior, jc).run()
+        for _ in corpus_runs(workload):
+            pass
     finally:
         joint.mpa_decode = decode
     return calls
