@@ -41,7 +41,8 @@ print("window sweep (pilot symbols, 10 dB):")
 records = []
 for k in range(1, 11):
     records.append(make_packet(k))
-    x_hat, info = sense(records, cb, prior)
+    info = sense(records, cb, prior)
+    x_hat = info.x
     err = float(np.mean((x_hat - truth.values) ** 2))
     print(f"  {k:2d} packet(s): MSE {err:.3e}  ({info.iterations} solver iterations)")
 

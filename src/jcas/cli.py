@@ -70,13 +70,13 @@ def _sniff_kind(path):
 def _cmd_validate(args):
     loaders = {"codebook": load_codebook, "scene": load_scene, "geometry": load_geometry}
     try:
-        kind = args.kind or _sniff_kind(args.file)
+        kind = _sniff_kind(args.file)
         loaders[kind](args.file)
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:
-        print(f"invalid {args.kind or 'file'}: {exc}", file=sys.stderr)
+        print(f"invalid file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"{args.file}: valid {kind}")
     return EXIT_OK
@@ -101,10 +101,6 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="validate a codebook/scene/geometry file")
     p_val.add_argument("file")
-    p_val.add_argument(
-        "--kind", choices=("codebook", "scene", "geometry"), default=None,
-        help="override format sniffing",
-    )
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)

@@ -541,7 +541,8 @@ def _read_trace(path):
 
 
 def load_tolerances(path):
-    """Tolerance file: one 'column relative_tolerance' pair per line."""
+    """Tolerance file: one 'column relative_tolerance' pair per line, the
+    tolerance a number >= 0 (inf passes any difference)."""
     tols = {}
     with open(path) as f:
         for lineno, ln in enumerate(f, 1):
@@ -551,9 +552,12 @@ def load_tolerances(path):
             try:
                 name, tol = ln.split()
                 tols[name] = float(tol)
+                if not tols[name] >= 0:  # NaN would pass every comparison
+                    raise ValueError
             except ValueError:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 'column relative_tolerance', got {ln!r}"
+                    f"{path}: line {lineno}: expected 'column relative_tolerance' "
+                    f"with a tolerance >= 0, got {ln!r}"
                 ) from None
     return tols
 

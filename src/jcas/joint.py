@@ -8,6 +8,10 @@ self-iteration repeats decode+image within a packet until the estimate
 stops moving; optional feedback re-decodes the previous n_b packets with
 the fresher image after every sensing step and refreshes the window.
 
+Momentum is applied in JointRunner.forward_step: once the convergence gate
+has held, each new GAMP image x is blended (1 - mu) * x + mu * x_old with
+the image before the sensing step; every image is clipped to [0, 1].
+
 Every decode (forward, self-iteration and feedback) is JointRunner._decode:
 the record's received frame against its channel at the current image, or,
 for the genie decoder, at the true scene.
@@ -39,7 +43,7 @@ __all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner"]
 
 @dataclass(frozen=True)
 class JointConfig:
-    """Knobs of the closed loop. eps_k defaults to 0.05*sqrt(N_s*sparsity)."""
+    """Knobs of the closed loop. eps_k defaults to 0.05*sqrt(N_s*prior.lam)."""
 
     n_packets: int = 30  # packets in the run (K)
     n_slots: int = 64  # time slots per packet (N_T)
@@ -194,18 +198,16 @@ class JointRunner:
         for it in range(k_s):
             trace.ks_used = it + 1
             x_old = self.x_hat
-            # momentum only engages once the estimate has settled; blending
-            # the coarse initial images would slow convergence instead
-            mu = cfg.mu if self.gate_open else 0.0
             try:
-                self.x_hat, _ = sense(
-                    records, self.cb, self.prior,
-                    mu=mu, x_prev=x_old, ore_mode=cfg.ore_mode,
-                )
+                x = sense(records, self.cb, self.prior, cfg.ore_mode).x
             except GampDivergence:
                 trace.diverged = True
-                self.x_hat = x_old
                 break
+            # momentum only engages once the estimate has settled; blending
+            # the coarse initial images would slow convergence instead
+            if self.gate_open and cfg.mu > 0:
+                x = (1 - cfg.mu) * x + cfg.mu * x_old
+            self.x_hat = np.clip(x, 0.0, 1.0)
             moved = float(np.linalg.norm(self.x_hat - x_old))
             if moved < self.eps_k:
                 if not self.gate_open:

@@ -2,8 +2,9 @@
 
 Per packet: least-squares channel estimation over the time dimension, exact
 subtraction of the known LOS and direct-IRS parts, then stacking the
-windowed scatter rows into one compressed-sensing system solved by GAMP,
-optionally blended with the previous estimate (momentum).
+windowed scatter rows into one compressed-sensing system solved by GAMP.
+Momentum toward the previous image is the closed loop's policy and lives in
+JointRunner.forward_step.
 
 A PacketRecord carries its packet's PacketChannel, which holds the static
 channel part and the scatter operator of the packet's IRS pattern. The
@@ -133,29 +134,16 @@ class PacketRecord:
         return self._rows[ore_mode]
 
 
-def sense(
-    records,
-    cb: Codebook,
-    prior: PriorParams,
-    mu: float = 0.0,
-    x_prev=None,
-    ore_mode: str = "user_first",
-):
-    """Windowed GAMP imaging with optional momentum blending.
+def sense(records, cb: Codebook, prior: PriorParams, ore_mode: str = "user_first"):
+    """Windowed GAMP imaging: the GampResult of the window's stacked system.
 
     Stacks the scatter rows of every PacketRecord in records. ore_mode
     "user_first" takes one row per (packet, user) at the user's first
     occupied ORE (users transmit nothing on other OREs, so their channels
     are unobservable there); "all_ores" stacks every occupied ORE.
-    Blends x = (1-mu)*x_gamp + mu*x_prev, clamped to [0, 1]; mu > 0 needs
-    x_prev.
     """
     if not records:
         raise ValueError("sense window is empty")
-    if not 0 <= mu < 1:
-        raise ValueError(f"momentum coefficient must lie in [0, 1), got {mu}")
-    if mu > 0 and x_prev is None:
-        raise ValueError("momentum (mu > 0) needs the previous image x_prev")
     if ore_mode not in ("user_first", "all_ores"):
         raise ValueError(f"unknown ore_mode {ore_mode!r}")
     # (ORE, user) pairs in stacking order: user by user, each user's OREs
@@ -196,8 +184,4 @@ def sense(
     # keeps it above even that, gamp_solve's x-change rule ends the run, or
     # its stall rule once the image change stops making new lows
     eps_t = max(1e-12 * float(np.sum(yv**2)), sigma_w * len(yv))
-    result = gamp_solve(phi, yv, q, eps_t=eps_t)
-    x_hat = result.x
-    if mu > 0:
-        x_hat = (1 - mu) * x_hat + mu * x_prev
-    return np.clip(x_hat, 0.0, 1.0), result
+    return gamp_solve(phi, yv, q, eps_t=eps_t)

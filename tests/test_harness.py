@@ -692,7 +692,9 @@ def test_cli_run_and_compare(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "entry", ["ser 0.1 extra", "ser", "ser abc"], ids=["too-many", "too-few", "not-a-number"]
+    "entry",
+    ["ser 0.1 extra", "ser", "ser abc", "ser nan", "ser -0.1"],
+    ids=["too-many", "too-few", "not-a-number", "nan", "negative"],
 )
 def test_cli_compare_names_a_malformed_tolerance_line(tmp_path, capsys, entry):
     trace = tmp_path / "trace.csv"

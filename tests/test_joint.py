@@ -6,6 +6,7 @@ from jcas.joint import JointConfig, JointRunner, RunTrace
 from jcas.mpa import mpa_decode
 from jcas.scene import RoomSpec, random_scene
 from jcas.scma import build_codebook
+from jcas.sensing import sense
 
 
 def _cfg(**kw):
@@ -165,6 +166,34 @@ def test_self_iteration_gate_collapses(truth, links, codebook, prior):
     first_gate = int(np.argmax(gates))
     # once the gate holds, later packets spend a single self-iteration
     assert np.all(ks[first_gate + 1 :] == 1)
+
+
+def test_momentum_blends_only_once_the_gate_has_held(
+    monkeypatch, truth, links, codebook, prior
+):
+    """Each sensing step sets the image to clip(x) of its GAMP image x, or,
+    once the gate has held, to clip((1 - mu) * x + mu * x_old) with the image
+    x_old from before the step."""
+    cfg = _cfg(mu=0.9, k_s=3, n_packets=8)
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    calls = []  # (gate open, image before the call, GAMP image) per call
+
+    def recorded(*args, **kwargs):
+        result = sense(*args, **kwargs)
+        calls.append((runner.gate_open, runner.x_hat, result.x))
+        return result
+
+    monkeypatch.setattr("jcas.joint.sense", recorded)
+    trace = runner.run()
+    assert not any(trace.column("diverged"))
+    # the image is set only by sensing, so each call's result is the image
+    # the next call starts from, and the last one's is the final image
+    after = [x_old for _, x_old, _ in calls[1:]] + [trace.x_final]
+    gated = [gate for gate, _, _ in calls]
+    assert any(gated) and not all(gated)
+    for (gate, x_old, x), image in zip(calls, after):
+        blend = (1 - cfg.mu) * x + cfg.mu * x_old if gate else x
+        assert np.array_equal(image, np.clip(blend, 0.0, 1.0))
 
 
 def test_pilot_packets_marked_and_error_free(truth, links, codebook, prior):

@@ -179,7 +179,7 @@ def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
     for k in range(1, 9):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
         records.append(PacketRecord(rx, frame, ch))
-    x_hat, result = sense(records, codebook, prior)
+    x_hat = sense(records, codebook, prior).x
     assert np.mean((x_hat - truth.values) ** 2) < 1e-8
 
 
@@ -191,20 +191,9 @@ def test_sense_noisy_better_with_longer_window(links, truth, codebook, prior):
         for k in range(1, 11):
             ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2)
             window.append(PacketRecord(rx, frame, ch))
-        x_hat, _ = sense(window, codebook, prior)
+        x_hat = sense(window, codebook, prior).x
         mses.append(np.mean((x_hat - truth.values) ** 2))
     assert mses[1] < mses[0]
-
-
-def test_sense_momentum_blend(links, truth, codebook, prior):
-    records = []
-    for k in range(1, 5):
-        ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
-        records.append(PacketRecord(rx, frame, ch))
-    x_prev = np.zeros_like(truth.values)
-    plain, _ = sense(records, codebook, prior, mu=0.0, x_prev=x_prev)
-    blended, _ = sense(records, codebook, prior, mu=0.9, x_prev=x_prev)
-    assert np.allclose(blended, np.clip(0.1 * plain, 0, 1), atol=1e-12)
 
 
 def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
@@ -212,8 +201,8 @@ def test_sense_all_ores_mode_uses_more_rows(links, truth, codebook, prior):
     for k in range(1, 3):
         ch, h, frame, rx = _packet(links, truth, codebook, k, sigma2=0.0)
         records.append(PacketRecord(rx, frame, ch))
-    x_first, _ = sense(records, codebook, prior, ore_mode="user_first")
-    x_all, _ = sense(records, codebook, prior, ore_mode="all_ores")
+    x_first = sense(records, codebook, prior, ore_mode="user_first").x
+    x_all = sense(records, codebook, prior, ore_mode="all_ores").x
     # with only 2 packets the one-row-per-user stack is underdetermined;
     # stacking every occupied ORE doubles the rows and recovers the scene
     assert np.mean((x_all - truth.values) ** 2) < 1e-6
@@ -228,12 +217,6 @@ def test_sense_validation(codebook, prior):
     ]
     with pytest.raises(ValueError, match="ore_mode"):
         sense(records, codebook, prior, ore_mode="bogus")
-    x_prev = np.zeros(10)
-    for mu in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError, match="momentum"):
-            sense(records, codebook, prior, mu=mu, x_prev=x_prev)
-    with pytest.raises(ValueError, match="x_prev"):
-        sense(records, codebook, prior, mu=0.5)
 
 
 class _Stacked(Exception):
