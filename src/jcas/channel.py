@@ -9,6 +9,9 @@ The scattered part is linear in the scatterer vector x, which is what turns
 channel estimates into compressed-sensing measurements of the environment.
 A PacketChannel holds the two products one IRS pattern fixes; a packet's
 composite channel, scatter rows and measurement matrices all follow from it.
+The products are built per block of patterns (PacketChannel.block): one
+GEMM per ORE and product for the whole block, sliced into each pattern's
+arrays, bit-equal to building each pattern alone.
 
 The IRS-AP and voxel-IRS links depend only on the room (AP array, IRS panel,
 voxel grid, carriers), not on the users: los_links computes them once per
@@ -277,6 +280,29 @@ def calibrate_links(links: LinkSet, reference: IrsPattern, expected_scatterers=8
     )
 
 
+def _irs_products(links: LinkSet, patterns):
+    """(static, g) of each IRS pattern, as PacketChannel holds them.
+
+    The block's weighted IRS-AP links W = [theta_k * h_s1] sit side by side
+    in one (R, N_I, B*N_R) array, so each ORE's h_irs1 @ W and h_s2 @ W is
+    one GEMM B*N_R columns wide; each pattern's arrays are its N_R columns.
+    """
+    n_i = links.h_s1.shape[1]
+    for irs in patterns:
+        if irs.n_elements != n_i:
+            raise ValueError(f"IRS pattern has {irs.n_elements} elements, links expect {n_i}")
+    n_r = links.n_antennas
+    theta = np.stack([irs.coefficients for irs in patterns], axis=1)  # (N_I, B)
+    w = (theta[:, :, None] * links.h_s1[:, :, None, :]).reshape(links.n_ores, n_i, -1)
+    irs1 = links.h_irs1 @ w  # (R, N_u, B*N_R)
+    s2 = links.h_s2 @ w  # (R, N_s, B*N_R)
+    cols = [slice(k * n_r, (k + 1) * n_r) for k in range(len(patterns))]
+    return [
+        (links.h_los + irs1[:, :, c], np.ascontiguousarray(s2[:, :, c].transpose(0, 2, 1)))
+        for c in cols
+    ]
+
+
 class PacketChannel:
     """One packet's channel operator: every channel quantity under one IRS pattern.
 
@@ -284,17 +310,24 @@ class PacketChannel:
     (R, N_u, N_R) and the scatter operator g[r] = (h_s2[r] Theta h_s1[r])^T,
     stored (R, N_R, N_s) in the row order of the stacked measurement
     matrices. The scattered channel of image x is linear in x through g.
+    PacketChannel(links, irs) is the one-pattern case of block, which builds
+    the IRS products of several packets' patterns together.
     """
 
     def __init__(self, links: LinkSet, irs: IrsPattern):
-        if irs.n_elements != links.h_s1.shape[1]:
-            raise ValueError(
-                f"IRS pattern has {irs.n_elements} elements, links expect {links.h_s1.shape[1]}"
-            )
+        ((self.static, self.g),) = _irs_products(links, [irs])
         self.links = links
-        w = irs.coefficients[:, None] * links.h_s1  # (R, N_I, N_R)
-        self.static = links.h_los + links.h_irs1 @ w
-        self.g = np.ascontiguousarray((links.h_s2 @ w).transpose(0, 2, 1))
+
+    @classmethod
+    def block(cls, links: LinkSet, patterns):
+        """The PacketChannels of a sequence of IRS patterns, in order; their
+        arrays equal PacketChannel(links, irs)'s for each pattern bit for bit."""
+        channels = []
+        for static, g in _irs_products(links, patterns):
+            ch = cls.__new__(cls)
+            ch.links, ch.static, ch.g = links, static, g
+            channels.append(ch)
+        return channels
 
     def scatter(self, x):
         """Scattered rows H^s of every ORE: (R, N_u, N_R), row nu = x^T diag(h_s3) g^T."""

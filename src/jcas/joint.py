@@ -21,6 +21,14 @@ The runner's window is the only per-packet store: a bounded deque of
 for the last n_f packets. The genie channel is the packet's true channel,
 computed once to transmit and kept for the genie decoder's decodes; the
 other decoders keep None there.
+
+A packet's IRS pattern is keyed by (seed, packet), so the receiver knows
+the patterns of the packets to come and may build their channels ahead:
+forward_step builds the PacketChannels of a block of max(1, _BLOCK_COLUMNS
+// N_R) packets together (PacketChannel.block, one GEMM per ORE for the
+block) and keeps each until its packet comes. The channels are bit-equal
+to those built one packet at a time, so the block length changes no
+output.
 """
 
 import time
@@ -39,6 +47,10 @@ from .sensing import PacketRecord, sense
 from .transceiver import noise_sigma, random_frame, transmit
 
 __all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner"]
+
+# IRS GEMM columns per channel block: B = max(1, _BLOCK_COLUMNS // N_R)
+# packets, where a 4-column GEMM runs at about half a 32-column one's speed
+_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,19 @@ class JointRunner:
         # images after the last n_b + 1 packets (and before the first);
         # [0] is the image feedback after this packet compares against
         self._x_hist = deque([self.x_hat], maxlen=config.n_b + 2)
+        self._channels = {}  # packet -> its PacketChannel, built with its block
+
+    def _channel(self, packet: int) -> PacketChannel:
+        """packet's PacketChannel; when it has none yet, builds those of the
+        next B packets (capped at the run's end) and keeps the others."""
+        if packet not in self._channels:
+            cfg = self.config
+            n = max(1, min(_BLOCK_COLUMNS // self.links.n_antennas, cfg.n_packets - packet + 1))
+            packets = range(packet, packet + n)
+            n_i = self.links.h_s1.shape[1]
+            patterns = [random_binary_pattern(n_i, p, cfg.seed) for p in packets]
+            self._channels.update(zip(packets, PacketChannel.block(self.links, patterns)))
+        return self._channels.pop(packet)
 
     # -- decoding -----------------------------------------------------------
 
@@ -169,9 +194,7 @@ class JointRunner:
         """Transmit, decode against the predicted channel, image, self-iterate."""
         cfg = self.config
         t0 = time.perf_counter()
-        ch = PacketChannel(
-            self.links, random_binary_pattern(self.links.h_s1.shape[1], packet, cfg.seed)
-        )
+        ch = self._channel(packet)
         sent = random_frame(cfg.n_slots, self.cb, packet, cfg.seed)
         h_true = ch.channel(self.truth.values)
         y = transmit(
@@ -195,20 +218,27 @@ class JointRunner:
         self.window.append((rec, sent, trace, h_genie))
         records = [r for r, _, _, _ in self.window]
         k_s = 1 if self.gate_open else cfg.k_s
+        solved = None  # this packet's symbols at its last solve
         for it in range(k_s):
             trace.ks_used = it + 1
             x_old = self.x_hat
-            try:
-                x = sense(records, self.cb, self.prior, cfg.ore_mode).x
-            except GampDivergence:
-                trace.diverged = True
-                break
-            # momentum only engages once the estimate has settled; blending
-            # the coarse initial images would slow convergence instead
-            if self.gate_open and cfg.mu > 0:
-                x = (1 - cfg.mu) * x + cfg.mu * x_old
-            self.x_hat = np.clip(x, 0.0, 1.0)
-            moved = float(np.linalg.norm(self.x_hat - x_old))
+            if np.array_equal(rec.symbol_indices, solved):
+                # the same window again: sense is deterministic, so the
+                # solve would return the image it returned last time
+                moved = 0.0
+            else:
+                solved = rec.symbol_indices
+                try:
+                    x = sense(records, self.cb, self.prior, cfg.ore_mode).x
+                except GampDivergence:
+                    trace.diverged = True
+                    break
+                # momentum only engages once the estimate has settled;
+                # blending the coarse initial images would slow convergence
+                if self.gate_open and cfg.mu > 0:
+                    x = (1 - cfg.mu) * x + cfg.mu * x_old
+                self.x_hat = np.clip(x, 0.0, 1.0)
+                moved = float(np.linalg.norm(self.x_hat - x_old))
             if moved < self.eps_k:
                 if not self.gate_open:
                     self.gate_open = True

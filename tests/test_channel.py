@@ -211,9 +211,45 @@ def test_packet_channel_is_static_plus_scatter_bit_for_bit(links, seed):
     assert np.array_equal(ch.static + ch.scatter(x), ch.channel(x))
 
 
+@pytest.mark.parametrize(
+    "n_users, n_ores, n_antennas",
+    [(6, 4, 4), (20, 7, 4), (6, 4, 16)],
+    ids=["converge", "crowded", "sweep"],
+)
+def test_block_channels_equal_one_pattern_products_bit_for_bit(n_users, n_ores, n_antennas):
+    """Each channel of PacketChannel.block, sliced out of the block's
+    B*N_R-column GEMMs, equals that pattern's own N_R-column products and
+    PacketChannel(links, irs) bit for bit, for blocks of 1 to 16 patterns
+    on the three benchmark workloads' shapes."""
+    cfg = ExperimentConfig(
+        sweep="n_users", values=(n_users,), trials=1, seed=3,
+        n_users=n_users, n_ores=n_ores, n_antennas=n_antennas,
+    )
+    links = build_system(cfg, n_users, 0)[1]
+    n_i = links.h_s1.shape[1]
+    rng = np.random.default_rng(n_ores * n_antennas)
+    for b in range(1, 17):
+        # the runner's binary patterns and arbitrary amplitudes and phases
+        patterns = [
+            random_binary_pattern(n_i, k, 5) if k % 2 else _pattern(rng, n_i) for k in range(b)
+        ]
+        block = PacketChannel.block(links, patterns)
+        assert len(block) == b
+        for irs, ch in zip(patterns, block):
+            w = irs.coefficients[:, None] * links.h_s1
+            alone = PacketChannel(links, irs)
+            for arrays in (ch, alone):
+                assert np.array_equal(arrays.static, links.h_los + links.h_irs1 @ w)
+                assert np.array_equal(arrays.g, (links.h_s2 @ w).transpose(0, 2, 1))
+                assert arrays.g.flags.c_contiguous
+            assert ch.links is links
+
+
 def test_packet_channel_boundary_checks(links):
     with pytest.raises(ValueError, match="399 elements"):
         PacketChannel(links, random_binary_pattern(399, 1, 7))
+    with pytest.raises(ValueError, match="399 elements"):
+        PacketChannel.block(links, [random_binary_pattern(n, 1, 7) for n in (400, 399)])
     ch = PacketChannel(links, random_binary_pattern(400, 1, 7))
     for bad in (np.zeros(links.n_voxels - 1), np.zeros((2, links.n_voxels))):
         with pytest.raises(ValueError, match="length"):

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from jcas import joint
 from jcas.channel import PacketChannel
 from jcas.joint import JointConfig, JointRunner, RunTrace
 from jcas.mpa import mpa_decode
@@ -156,6 +159,59 @@ def test_genie_computes_the_true_channel_once_per_packet(
     assert len(decodes) > 2 * sum(not p.pilot for p in trace.packets)
     assert len(true_calls) == cfg.n_packets
     assert len({id(ch) for ch in true_calls}) == cfg.n_packets
+
+
+@pytest.mark.parametrize("decoder", ["mpa", "genie"])
+def test_channel_blocks_change_no_output(monkeypatch, truth, links, codebook, prior, decoder):
+    """Building the packets' channels in blocks of 4 (32 columns over the
+    links' 8 antennas; the last block of the 10-packet run is cut to 2), one
+    at a time, or all in one block gives the same run, field for field."""
+    cfg = _cfg(decoder=decoder, n_packets=10, k_s=3, n_b=2, n_pilot=0, mu=0.5, ebn0_db=0.0)
+    names = [f.name for f in fields(joint.PacketTrace) if f.name != "wall_ms"]
+
+    def run(columns):
+        monkeypatch.setattr(joint, "_BLOCK_COLUMNS", columns)
+        trace = JointRunner(truth, links, codebook, prior, cfg).run()
+        return [[getattr(p, n) for n in names] for p in trace.packets], trace.x_final
+
+    rows, x_final = run(joint._BLOCK_COLUMNS)
+    column = {n: [p[i] for p in rows] for i, n in enumerate(names)}
+    # self-iteration, momentum behind the gate, feedback and decode errors ran
+    assert max(column["ks_used"]) > 1 and any(column["gate"])
+    assert any(s is not None for s in column["ser_post_feedback"])
+    assert any(column["ser"])
+    for columns in (1, 10**6):
+        other_rows, other_x = run(columns)
+        assert other_rows == rows
+        assert np.array_equal(other_x, x_final)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(decoder="genie"), dict(n_pilot=2)],
+    ids=["genie", "pilots"],
+)
+def test_self_iteration_skips_the_solve_of_an_unchanged_packet(
+    monkeypatch, truth, links, codebook, prior, kw
+):
+    """A self-iteration whose packet decodes to the symbols of its last solve
+    (the genie decoder's, a pilot's) does not solve again: every iteration
+    runs (eps_k = 0), but such a packet costs one sense call."""
+    cfg = _cfg(k_s=3, eps_k=0.0, n_packets=6, **kw)
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    solved = []  # the packet of each sense call
+
+    def spied(*args, **kwargs):
+        solved.append(runner.window[-1][2].packet)
+        return sense(*args, **kwargs)
+
+    monkeypatch.setattr("jcas.joint.sense", spied)
+    trace = runner.run()
+    assert trace.column("ks_used").tolist() == [cfg.k_s] * cfg.n_packets
+    unchanged = [p.packet for p in trace.packets if p.pilot or cfg.decoder == "genie"]
+    assert unchanged
+    for packet in unchanged:
+        assert solved.count(packet) == 1
 
 
 def test_self_iteration_gate_collapses(truth, links, codebook, prior):

@@ -15,10 +15,10 @@ LOOPBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 WORKLOADS = ("converge", "crowded", "sweep")
 
 
-def corpus_runs(workload):
-    """Yield the RunTrace of each run of one pass over a workload's corpus,
-    running each when it is asked for."""
-    from jcas import harness, joint
+def corpus_systems(workload):
+    """Yield build_system's (truth, links, codebook, prior, joint config) of
+    each run of a workload's corpus, building each when it is asked for."""
+    from jcas import harness
 
     sys.path.insert(0, LOOPBENCH)
     try:
@@ -29,5 +29,13 @@ def corpus_runs(workload):
     values = SWEEP_VALUES if value is None else (value,)
     for value in values:
         for trial in range(CORPORA[workload][1]):
-            truth, links, cb, prior, jc = harness.build_system(cfg, value, trial)
-            yield joint.JointRunner(truth, links, cb, prior, jc).run()
+            yield harness.build_system(cfg, value, trial)
+
+
+def corpus_runs(workload):
+    """Yield the RunTrace of each run of one pass over a workload's corpus,
+    running each when it is asked for."""
+    from jcas import joint
+
+    for system in corpus_systems(workload):
+        yield joint.JointRunner(*system).run()
