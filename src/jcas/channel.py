@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 C_LIGHT = 299792458.0
+_BAND = (28e9, 30e9)  # Hz, the edges of OreGrid.uniform_band's carriers
 
 
 @dataclass
@@ -95,18 +96,14 @@ class OreGrid:
             raise ValueError("need at least one positive frequency")
         self.frequencies = f
 
-    @property
-    def n_ores(self):
-        return self.frequencies.size
-
     @classmethod
-    def uniform_band(cls, r: int, f_lo=28e9, f_hi=30e9):
-        """R carriers uniformly spaced across [f_lo, f_hi] (band edges included)."""
+    def uniform_band(cls, r: int):
+        """R carriers uniformly spaced across _BAND, 28-30 GHz (edges included)."""
         if r < 1:
             raise ValueError("need R >= 1")
         if r == 1:
-            return cls(np.array([(f_lo + f_hi) / 2]))
-        return cls(np.linspace(f_lo, f_hi, r))
+            return cls(np.array([sum(_BAND) / 2]))
+        return cls(np.linspace(*_BAND, r))
 
 
 @dataclass

@@ -18,10 +18,11 @@ generated one.
 
 Outputs per run: trace.csv (one row per packet of every trial), summary.csv
 (median / inter-quartile range over trials per sweep value),
-scene_<axis>_<value>.txt (the final image of trial 0, scene file format)
-and, only when a sweep point failed, failures.csv (one row per failed point:
-axis, value, trial, error type and message). Wall-time columns are omitted
-unless record_timing is set, keeping repeated runs byte-identical.
+scene_<axis>_<value>.txt (the final image of trial 0, scene file format;
+none for a value whose trial 0 failed) and, only when a sweep point
+failed, failures.csv (one row per failed point: axis, value, trial, error
+type and message). Wall-time columns are omitted unless record_timing is
+set, keeping repeated runs byte-identical.
 
 The (value, trial) points run in a process pool with one worker per CPU the
 process may use (limit them with taskset). Every output is written by the
@@ -474,7 +475,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
 
     for value in cfg.values:
         finals_mse, finals_ser, finals_post = [], [], []
-        first_x = None
         for trial in range(cfg.trials):
             run, error = next(results)
             if error is not None:
@@ -493,8 +493,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             ]
             if post:
                 finals_post.append(float(np.mean(post)))
-            if first_x is None:
-                first_x = run.x_final
+            if trial == 0:
+                spath = os.path.join(out, f"scene_{cfg.sweep}_{value}.txt")
+                save_scene(spath, ScattererField(spec, run.x_final))
+                paths.append(spath)
         if not finals_mse:
             continue
 
@@ -507,9 +509,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None, log=None):
             cfg.sweep, value, len(finals_mse),
             *med_iqr(finals_mse), *med_iqr(finals_ser), post_med,
         ))
-        spath = os.path.join(out, f"scene_{cfg.sweep}_{value}.txt")
-        save_scene(spath, ScattererField(spec, np.clip(first_x, 0.0, 1.0)))
-        paths.append(spath)
 
     tables = [
         ("trace.csv", TRACE_SCHEMA, tcols, trace_rows),

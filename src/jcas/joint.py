@@ -16,11 +16,14 @@ Every decode (forward, self-iteration and feedback) is JointRunner._decode:
 the record's received frame against its channel at the current image, or,
 for the genie decoder, at the true scene.
 
-The runner's window is the only per-packet store: a bounded deque of
+The runner keeps three per-packet stores. The window is a bounded deque of
 (PacketRecord, sent symbol indices, PacketTrace row, genie channel) entries
 for the last n_f packets. The genie channel is the packet's true channel,
 computed once to transmit and kept for the genie decoder's decodes; the
-other decoders keep None there.
+other decoders keep None there. _x_hist holds the images after the last
+n_b + 1 packets, which feedback compares to skip a span whose image has
+stopped moving. _channels holds the PacketChannels built ahead for packets
+still to come (see below).
 
 A packet's IRS pattern is keyed by (seed, packet), so the receiver knows
 the patterns of the packets to come and may build their channels ahead:

@@ -2,7 +2,7 @@
 
 The room is cut into identical cuboid voxels. The environment is a vector of
 per-voxel scattering coefficients in [0, 1]; empty voxels are exactly 0.
-Voxel indexing is x-fastest row-major: index = ix + nx*(iy + ny*iz).
+Voxel indices run x fastest: numpy's Fortran order over (nx, ny, nz).
 """
 
 import math
@@ -35,6 +35,7 @@ class RoomSpec:
 
     room_dims: tuple  # (Lx, Ly, Lz)
     voxel_dims: tuple  # (lx, ly, lz)
+    grid_shape: tuple = field(init=False, repr=False, compare=False)  # (nx, ny, nz)
 
     def __post_init__(self):
         room = tuple(float(v) for v in self.room_dims)
@@ -43,6 +44,7 @@ class RoomSpec:
             raise ValueError("room_dims and voxel_dims must have 3 entries")
         if not all(0 < v < math.inf for v in room + vox):
             raise ValueError("room and voxel dimensions must be positive and finite")
+        shape = []
         for L, l in zip(room, vox):
             n = L / l
             if abs(n - round(n)) > _DIV_TOL * max(1.0, n):
@@ -51,35 +53,22 @@ class RoomSpec:
                 )
             if round(n) < 1:
                 raise ValueError(f"room dimension {L} holds no voxel of dimension {l}")
+            shape.append(round(n))
         object.__setattr__(self, "room_dims", room)
         object.__setattr__(self, "voxel_dims", vox)
+        object.__setattr__(self, "grid_shape", tuple(shape))
         if self.n_voxels > _MAX_VOXELS:
             raise ValueError(f"grid {self.grid_shape} has more voxels than an array can hold")
 
     @property
-    def grid_shape(self):
-        """Number of voxels along (x, y, z)."""
-        return tuple(
-            int(round(L / l)) for L, l in zip(self.room_dims, self.voxel_dims)
-        )
-
-    @property
     def n_voxels(self):
-        nx, ny, nz = self.grid_shape
-        return nx * ny * nz
+        return math.prod(self.grid_shape)
 
 
 def voxel_centers(spec: RoomSpec):
     """All voxel centers as an (N_s, 3) array, in index order."""
-    nx, ny, nz = spec.grid_shape
-    lx, ly, lz = spec.voxel_dims
-    ids = np.arange(spec.n_voxels)
-    ix = ids % nx
-    iy = (ids // nx) % ny
-    iz = ids // (nx * ny)
-    return np.stack(
-        [(ix + 0.5) * lx, (iy + 0.5) * ly, (iz + 0.5) * lz], axis=1
-    )
+    cells = np.unravel_index(np.arange(spec.n_voxels), spec.grid_shape, order="F")
+    return np.stack([(i + 0.5) * l for i, l in zip(cells, spec.voxel_dims)], axis=1)
 
 
 @dataclass
@@ -119,7 +108,6 @@ def random_scene(spec: RoomSpec, sparsity: float, seed=None) -> ScattererField:
 
 def save_scene(path, fld: ScattererField):
     """Write a scene file: header line, then one line per nonzero voxel."""
-    nx, ny, nz = fld.spec.grid_shape
     L = fld.spec.room_dims
     l = fld.spec.voxel_dims
     with open(path, "w") as f:
@@ -127,11 +115,9 @@ def save_scene(path, fld: ScattererField):
             "room %.17g %.17g %.17g voxel %.17g %.17g %.17g\n"
             % (L[0], L[1], L[2], l[0], l[1], l[2])
         )
-        for i in np.flatnonzero(fld.values):
-            ix = i % nx
-            iy = (i // nx) % ny
-            iz = i // (nx * ny)
-            f.write("%d %d %d %.17g\n" % (ix, iy, iz, fld.values[i]))
+        idx = np.flatnonzero(fld.values)
+        for i, *cell in zip(idx, *np.unravel_index(idx, fld.spec.grid_shape, order="F")):
+            f.write("%d %d %d %.17g\n" % (*cell, fld.values[i]))
 
 
 def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
@@ -169,7 +155,7 @@ def load_scene(path, spec: RoomSpec | None = None) -> ScattererField:
             raise ValueError(f"{path}: voxel index out of range: {ln!r}")
         if not 0 <= v <= 1:
             raise ValueError(f"{path}: scattering coefficient {v} outside [0, 1]")
-        i = ix + nx * (iy + ny * iz)
+        i = np.ravel_multi_index((ix, iy, iz), spec.grid_shape, order="F")
         if i in seen:
             raise ValueError(f"{path}: voxel listed twice: {ln!r}")
         seen.add(i)

@@ -104,7 +104,7 @@ class Codebook:
         omega = []
         for u, mat in enumerate(mats):
             nz = mat != 0
-            sup = tuple(np.flatnonzero(nz.any(axis=1)))
+            sup = tuple(np.flatnonzero(nz.any(axis=1)).tolist())
             d_v = len(omega[0]) if omega else len(sup)
             if d_v < 1:
                 raise CodebookError("user 0: codewords have no nonzero rows")
@@ -113,8 +113,9 @@ class Codebook:
             short = np.flatnonzero(~nz[list(sup)].all(axis=0))  # codewords missing a row
             if short.size:
                 m = int(short[0])
+                rows = tuple(np.flatnonzero(nz[:, m]).tolist())
                 raise CodebookError(
-                    f"user {u} codeword {m}: nonzero rows {tuple(np.flatnonzero(nz[:, m]))} "
+                    f"user {u} codeword {m}: nonzero rows {rows} "
                     f"do not match the user support {sup}"
                 )
             omega.append(sup)

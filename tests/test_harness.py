@@ -656,6 +656,29 @@ def test_bug_in_sweep_point_propagates(small_cfg, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_scene_snapshot_is_trial_zeros(small_cfg, tmp_path, monkeypatch):
+    """A value whose trial 0 failed gets no snapshot, though its later
+    trials still count in its summary row; the others get trial 0's image."""
+    build = jcas.harness.build_system
+
+    def trial_zero_of_10_fails(cfg, value, trial):
+        if (value, trial) == (10, 0):
+            raise ValueError("trial 0 of 10 fails")
+        return build(cfg, value, trial)
+
+    monkeypatch.setattr(jcas.harness, "build_system", trial_zero_of_10_fails)
+    monkeypatch.setattr(jcas.harness, "_usable_cpus", lambda: 2)  # through the pool
+    out = tmp_path / "out"
+    run_experiment(small_cfg, output_dir=str(out), log=lambda msg: None)
+    assert not (out / "scene_ebn0_db_10.txt").exists()
+    with open(out / "summary.csv") as f:
+        rows = list(csv.DictReader(f.readlines()[1:]))
+    assert [(r["value"], r["trials"]) for r in rows] == [("0", "2"), ("10", "1")]
+    monkeypatch.undo()
+    first = jcas.harness._run_point(small_cfg, 0, 0).run.x_final
+    assert np.array_equal(load_scene(out / "scene_ebn0_db_0.txt").values, first)
+
+
 def test_outputs_identical_across_worker_counts(tmp_path, monkeypatch):
     """Every output file and the log order do not depend on the worker count,
     and no worker outlives the run."""

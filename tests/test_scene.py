@@ -115,6 +115,23 @@ def test_scene_file_roundtrip(room, tmp_path):
     assert np.array_equal(back.values, fld.values)
 
 
+def test_scene_file_roundtrip_non_cubic(tmp_path):
+    """On a 6 x 2 x 20 grid a swapped axis in the voxel order shows."""
+    spec = RoomSpec((3.0, 2.0, 5.0), (0.5, 1.0, 0.25))
+    assert spec.grid_shape == (6, 2, 20)
+    cells = np.unravel_index(np.arange(spec.n_voxels), spec.grid_shape, order="F")
+    expected = (np.stack(cells, axis=1) + 0.5) * spec.voxel_dims
+    assert np.array_equal(voxel_centers(spec), expected)
+    fld = random_scene(spec, 0.1, seed=7)
+    path = tmp_path / "scene.txt"
+    save_scene(path, fld)
+    back = load_scene(path, spec)
+    assert np.array_equal(back.values, fld.values)
+    i = np.flatnonzero(fld.values)[0]
+    ix, iy, iz = (int(c[i]) for c in cells)
+    assert path.read_text().splitlines()[1].startswith(f"{ix} {iy} {iz} ")
+
+
 def test_scene_load_spec_mismatch(room, tmp_path):
     fld = random_scene(room, 0.03, seed=5)
     path = tmp_path / "scene.txt"

@@ -107,11 +107,11 @@ def _book(*supports, m=2, n_ores=3):
     return mats
 
 
-def _codeword_entry(value):
-    """The default book with one entry of user 0's codeword 1 set to value."""
+def _codeword_entry(value, user=0):
+    """The default book with one entry of user's codeword 1 set to value."""
     cb = default_codebook()
     mats = [m.copy() for m in cb.matrices]
-    mats[0][cb.graph.omega_u[0][0], 1] = value
+    mats[user][cb.graph.omega_u[user][0], 1] = value
     return mats
 
 
@@ -122,6 +122,10 @@ def _codeword_entry(value):
         (_book((), (0, 1)), r"user 0: codewords have no nonzero rows"),
         (_book((0, 1), ()), r"user 1: support size 0 != d_v 2"),
         (_codeword_entry(0.0), r"user 0 codeword 1: nonzero rows .* do not match the user support"),
+        (
+            _codeword_entry(0.0, user=3),
+            r"^user 3 codeword 1: nonzero rows \(3,\) do not match the user support \(1, 3\)$",
+        ),
         (_codeword_entry(complex("nan+0j")), r"user 0 codeword 1: entry \(nan\+0j\) is not finite"),
         (_codeword_entry(complex("inf-1j")), r"user 0 codeword 1: entry \(inf-1j\) is not finite"),
         (_codeword_entry(complex("1e200+0j")), r"user 0 codeword 1: energy inf is not finite"),
@@ -130,8 +134,8 @@ def _codeword_entry(value):
         (_book((0, 1), (0, 1)), r"ORE 2: load 0 outside balanced range \[1, 2\]"),
     ],
     ids=["one-codeword", "empty-support", "empty-later-support", "codeword-support-mismatch",
-         "nan-entry", "inf-entry", "huge-entry", "unequal-d_v", "unbalanced-regular",
-         "unbalanced-irregular"],
+         "codeword-support-mismatch-message", "nan-entry", "inf-entry", "huge-entry",
+         "unequal-d_v", "unbalanced-regular", "unbalanced-irregular"],
 )
 def test_constructor_rejects_invalid_book(mats, match):
     with pytest.raises(CodebookError, match=match):
@@ -143,6 +147,7 @@ def test_factor_graph_adjacency_consistent():
     g = factor_graph(cb)
     for u in range(cb.n_users):
         assert g.omega_u[u] == tuple(np.flatnonzero(cb.matrices[u].any(axis=1)))
+        assert all(type(r) is int for r in g.omega_u[u])
         for r in g.omega_u[u]:
             assert u in g.lambda_r[r]
     for r, users in enumerate(g.lambda_r):
