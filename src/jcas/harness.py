@@ -75,6 +75,9 @@ _SWEEP_AXES = ("ebn0_db", "n_users", "mu", "packets")
 # [scenario] keys
 _EXPERIMENT_KEYS = ("sweep", "values", "trials", "seed", "output", "record_timing")
 _IRS_SIDE = 20  # side of default_geometry's square IRS panel, in elements
+# largest user count, packet count and number of candidate codebook
+# supports a config may ask for
+_MAX_RUN_SIZE = 10**6
 # the PacketTrace fields trace.csv writes after (axis, value, trial), in
 # column order; wall_ms follows them under record_timing
 _TRACE_FIELDS = (
@@ -129,8 +132,22 @@ class ExperimentConfig:
         for name in ("n_users", "n_ores", "n_antennas"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, value in (("n_users", self.n_users), ("joint.n_packets", self.joint.n_packets)):
+            if value > _MAX_RUN_SIZE:
+                raise ValueError(f"{name} = {value} exceeds the run-size bound {_MAX_RUN_SIZE}")
         if not 1 <= self.d_v <= self.n_ores:
             raise ValueError(f"d_v must lie in [1, n_ores={self.n_ores}], got {self.d_v}")
+        if self.codebook is None:
+            # C(n_ores, d_v) supports, counted up only until the count passes the bound
+            count = 1
+            for i in range(min(self.d_v, self.n_ores - self.d_v)):
+                count = count * (self.n_ores - i) // (i + 1)
+                if count > _MAX_RUN_SIZE:
+                    raise ValueError(
+                        f"a generated codebook of d_v = {self.d_v} on n_ores = {self.n_ores} "
+                        f"has C({self.n_ores}, {self.d_v}) candidate supports, above the "
+                        f"run-size bound {_MAX_RUN_SIZE}"
+                    )
         if self.m < 2:
             raise ValueError(f"m must be >= 2 codewords per user, got {self.m}")
         try:
@@ -150,6 +167,11 @@ class ExperimentConfig:
                 )
             if self.sweep == "n_users" and value < 1:
                 raise ValueError(f"n_users sweep values must be >= 1, got {self.values}")
+            if self.sweep in ("n_users", "packets") and value > _MAX_RUN_SIZE:
+                raise ValueError(
+                    f"{self.sweep} sweep value {value:.12g} exceeds the run-size bound "
+                    f"{_MAX_RUN_SIZE}"
+                )
             try:
                 _sweep_point(self, value)
             except ValueError as exc:

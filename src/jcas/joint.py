@@ -54,6 +54,9 @@ __all__ = ["JointConfig", "PacketTrace", "RunTrace", "JointRunner"]
 # IRS GEMM columns per channel block: B = max(1, _BLOCK_COLUMNS // N_R)
 # packets, where a 4-column GEMM runs at about half a 32-column one's speed
 _BLOCK_COLUMNS = 32
+# largest per-FN MPA likelihood table a runner accepts, in entries
+# (M^max_d_f joint symbols x N_T slots x N_R antennas; 256 MiB of float64)
+_MAX_TABLE_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,13 @@ class JointRunner:
             raise ValueError(
                 f"n_slots ({config.n_slots}) must be >= the codebook's largest "
                 f"d_f (cb.max_d_f = {cb.max_d_f}) for channel estimation"
+            )
+        entries = cb.m**cb.max_d_f * config.n_slots * links.n_antennas
+        if config.decoder != "ml" and entries > _MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"the codebook's MPA tables are too large: M^d_f = {cb.m}^{cb.max_d_f} "
+                f"joint symbols x {config.n_slots} slots x {links.n_antennas} antennas "
+                f"is {entries} entries per ORE, above {_MAX_TABLE_ENTRIES}"
             )
         n_s = truth.spec.n_voxels
         self.eps_k = (
@@ -260,8 +270,8 @@ class JointRunner:
 
         Walks the window entries before the newest one, at most n_b of
         them; pilot packets are skipped (their symbols are exact). Each
-        re-decode replaces the record's symbols, which drops its cached
-        estimate if they changed, and sets its trace row's
+        re-decode replaces the record's symbols, whose estimate the record
+        recomputes if they changed, and sets its trace row's
         ser_post_feedback. Skipped entirely until packet n_b + 1, and once
         the image has stopped moving over the feedback span (nothing left
         to revise).

@@ -7,18 +7,18 @@ Momentum toward the previous image is the closed loop's policy and lives in
 JointRunner.forward_step.
 
 A PacketRecord carries its packet's PacketChannel, which holds the static
-channel part and the scatter operator of the packet's IRS pattern. The
-record computes the EstimatedChannel of its current decode once and keeps
-it; sense subtracts the static part from it on the stacked pairs.
-Assigning a decode with other symbols to symbol_indices (self-iteration,
-feedback) drops the estimate; a re-decode to the same symbols keeps it,
-since the estimate is a function of the frame, the symbols and the book.
-The record also keeps the lifted (Re, Im) measurement rows of its stacking
-pairs, one set per ore_mode, computed on first use; they depend only on
-the PacketChannel, so a new decode keeps them, and they live as long as
-the record stays in the window. A record is sensed against
-one codebook: no cache is keyed on it. sense takes any sequence of records;
-the closed loop keeps its window in a bounded deque.
+channel part and the scatter operator of the packet's IRS pattern. Each of
+the record's two caches is keyed on what it depends on. The estimate is a
+function of the frame, the symbols and the book: the record keeps it with
+a copy of the symbols it was computed from and recomputes it when
+symbol_indices differs from them in content, so a re-decode to the same
+symbols (self-iteration, feedback) keeps it and an in-place edit cannot
+serve a stale one. The lifted (Re, Im) measurement rows depend only on the
+PacketChannel and the stacking pairs of an ore_mode, so the record keeps
+one set per ore_mode, built on first use from that mode's pairs, for as
+long as it stays in the window. A record is sensed against one codebook:
+no cache is keyed on it. sense takes any sequence of records; the closed
+loop keeps its window in a bounded deque.
 """
 
 from dataclasses import dataclass, field
@@ -101,35 +101,45 @@ def estimate_channel(y, symbol_indices, cb: Codebook) -> EstimatedChannel:
     return EstimatedChannel(h, observed, noise_var)
 
 
+def _stacking_pairs(cb: Codebook, ore_mode):
+    """(ORE, user) index arrays of ore_mode's stacking pairs, user by user,
+    each user's OREs in omega_u order."""
+    if ore_mode not in ("user_first", "all_ores"):
+        raise ValueError(f"unknown ore_mode {ore_mode!r}")
+    pairs = [
+        (r, nu)
+        for nu, ores in enumerate(factor_graph(cb).omega_u)
+        for r in (ores[:1] if ore_mode == "user_first" else ores)
+    ]
+    return np.array(pairs).T
+
+
 @dataclass
 class PacketRecord:
-    """One packet's worth of sensing inputs kept in the sliding window."""
+    """One packet's worth of sensing inputs kept in the sliding window, with
+    the estimate of its current decode and its lifted measurement rows."""
 
     y: np.ndarray = field(repr=False)  # (N_T, R, N_R)
     symbol_indices: np.ndarray = field(repr=False)  # (N_T, N_u), current decode
     channel: PacketChannel = None
-    # estimate of the current decode
-    _est: EstimatedChannel | None = field(default=None, init=False, repr=False)
+    # (copy of the symbols it was computed from, EstimatedChannel)
+    _est: tuple | None = field(default=None, init=False, repr=False)
     # ore_mode -> lifted measurement rows of its pairs (see lifted_rows)
     _rows: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __setattr__(self, name, value):
-        if name == "symbol_indices" and not np.array_equal(value, self.__dict__.get(name)):
-            # a decode with other symbols makes the estimate from the old one stale
-            super().__setattr__("_est", None)
-        super().__setattr__(name, value)
-
     def estimate(self, cb: Codebook) -> EstimatedChannel:
-        """Channel estimate of the current decode, computed once per decode."""
-        if self._est is None:
-            self._est = estimate_channel(self.y, self.symbol_indices, cb)
-        return self._est
+        """Channel estimate of the current decode, recomputed only when the
+        symbols differ in content from those of the kept estimate."""
+        if self._est is None or not np.array_equal(self._est[0], self.symbol_indices):
+            symbols = np.array(self.symbol_indices)
+            self._est = (symbols, estimate_channel(self.y, symbols, cb))
+        return self._est[1]
 
-    def lifted_rows(self, ore_mode, ores, users):
-        """Re and Im parts (2, len, N_R, N_s) of the measurement matrices of
-        ore_mode's (ORE, user) pairs ores, users, computed once per packet."""
+    def lifted_rows(self, cb: Codebook, ore_mode):
+        """Re and Im parts (2, pairs, N_R, N_s) of the measurement matrices
+        of ore_mode's stacking pairs, built once per packet and mode."""
         if ore_mode not in self._rows:
-            a = self.channel.matrices(ores, users)
+            a = self.channel.matrices(*_stacking_pairs(cb, ore_mode))
             self._rows[ore_mode] = np.stack([a.real, a.imag])
         return self._rows[ore_mode]
 
@@ -144,16 +154,8 @@ def sense(records, cb: Codebook, prior: PriorParams, ore_mode: str = "user_first
     """
     if not records:
         raise ValueError("sense window is empty")
-    if ore_mode not in ("user_first", "all_ores"):
-        raise ValueError(f"unknown ore_mode {ore_mode!r}")
-    # (ORE, user) pairs in stacking order: user by user, each user's OREs
-    pairs = [
-        (r, nu)
-        for nu, ores in enumerate(factor_graph(cb).omega_u)
-        for r in (ores[:1] if ore_mode == "user_first" else ores)
-    ]
-    ores_all, users_all = np.array(pairs).T
-    rows, keeps, noise_vars = [], [], []
+    ores_all, users_all = _stacking_pairs(cb, ore_mode)
+    rows, lifted, noise_vars = [], [], []
     for rec in records:
         est = rec.estimate(cb)
         noise_vars.append(est.noise_var)
@@ -161,20 +163,13 @@ def sense(records, cb: Codebook, prior: PriorParams, ore_mode: str = "user_first
         ores, users = ores_all[keep], users_all[keep]
         # scatter components: the estimate minus the static channel part
         rows.append(est.h[ores, users] - rec.channel.static[ores, users])
-        keeps.append(keep)
+        # [Re; Im] of the pairs' matrices (x is real), copied only when masked
+        rec_rows = rec.lifted_rows(cb, ore_mode)
+        lifted.append(rec_rows if keep.all() else rec_rows[:, keep])
     h_tilde = np.concatenate(rows).ravel()
     if h_tilde.size == 0:
         raise ValueError("no observable channel rows in the window")
-    # [Re; Im] of the stacked matrices (x is real), copied from the kept rows
-    n_r, n_s = records[0].channel.g.shape[1:]
-    phi = np.empty((2, h_tilde.size // n_r, n_r, n_s))
-    start = 0
-    for rec, keep in zip(records, keeps):
-        stop = start + np.count_nonzero(keep)
-        lifted = rec.lifted_rows(ore_mode, ores_all, users_all)
-        np.compress(keep, lifted, axis=1, out=phi[:, start:stop])
-        start = stop
-    phi = phi.reshape(2 * h_tilde.size, n_s)
+    phi = np.concatenate(lifted, axis=1).reshape(2 * h_tilde.size, -1)
     yv = np.concatenate([h_tilde.real, h_tilde.imag])
     # lifted real parts carry half the complex estimate variance each
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)

@@ -23,7 +23,7 @@ from jcas.channel import (
 )
 from jcas.harness import ExperimentConfig, build_system, default_geometry
 from jcas.scene import RoomSpec, voxel_centers
-from jcas.sensing import EstimatedChannel, PacketRecord, sense
+from jcas.sensing import PacketRecord, sense
 
 # quick and reproducible: a fixed example sequence, no per-example deadline
 _props = settings(derandomize=True, deadline=None, max_examples=25)
@@ -162,11 +162,15 @@ def test_stack_measurements_shapes(links, room, codebook, prior):
     assert a.shape == (3, links.n_antennas, room.n_voxels)
     assert h.shape == (3 * links.n_antennas,)
     assert a.reshape(h.size, -1).shape == (3 * links.n_antennas, room.n_voxels)
-    # a window without one observed (ORE, user) pair has nothing to stack
-    rec = PacketRecord(None, None, ch)
-    rec._est = EstimatedChannel(
-        np.zeros_like(ch.static), np.zeros((links.n_ores, links.n_users), dtype=bool)
+    # a window without one observed (ORE, user) pair has nothing to stack:
+    # an all-zero decode makes every ORE's symbol matrix rank one
+    n_t = codebook.max_d_f + 1
+    rec = PacketRecord(
+        np.zeros((n_t, links.n_ores, links.n_antennas), dtype=complex),
+        np.zeros((n_t, links.n_users), dtype=int),
+        ch,
     )
+    assert not rec.estimate(codebook).observed.any()
     with pytest.raises(ValueError, match="observable"):
         sense([rec], codebook, prior)
 

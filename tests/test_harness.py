@@ -3,6 +3,7 @@ import filecmp
 import importlib.util
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -28,7 +29,7 @@ from jcas.harness import (
     run_experiment,
 )
 from jcas.channel import Geometry, load_geometry, save_geometry
-from jcas.joint import JointConfig
+from jcas.joint import JointConfig, JointRunner
 from jcas.scene import RoomSpec, load_scene, random_scene, save_scene
 from jcas.scma import build_codebook, default_codebook, save_codebook
 
@@ -194,6 +195,10 @@ def _experiment_configs(draw):
         "packets": st.integers(max(joint.n_b, joint.n_pilot, 1), 1000),
     }[sweep]
     n_ores = draw(_counts)
+    codebook = draw(st.none() | _paths)
+    # a generated book may have at most _MAX_RUN_SIZE candidate supports
+    bound = jcas.harness._MAX_RUN_SIZE
+    d_vs = [d for d in range(1, n_ores + 1) if codebook or math.comb(n_ores, d) <= bound]
     voxel = draw(st.tuples(*[st.floats(0.01, 5.0)] * 3))
     cells = draw(st.tuples(*[st.integers(1, 10)] * 3))
     return ExperimentConfig(
@@ -205,10 +210,10 @@ def _experiment_configs(draw):
         record_timing=draw(st.booleans()),
         scene=draw(st.none() | _paths),
         geometry=draw(st.none() | _paths),
-        codebook=draw(st.none() | _paths),
+        codebook=codebook,
         n_users=draw(_counts),
         n_ores=n_ores,
-        d_v=draw(st.integers(1, n_ores)),
+        d_v=draw(st.sampled_from(d_vs)),
         m=draw(st.integers(2, 64)),
         n_antennas=draw(_counts),
         sparsity=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -639,6 +644,51 @@ def test_failed_sweep_point_reported_not_fatal(tmp_path):
     axis, value, trial, error, message = rows[1]
     assert (axis, value, trial, error) == ("n_users", "300", "0", "ValueError")
     assert "max_d_f" in message and any(message in m for m in messages)
+
+
+def test_oversized_mpa_tables_fail_their_point_only(tmp_path):
+    """40 users on 9 OREs at d_v = 3 make an FN of degree 14, whose MPA
+    table of 4^14 joint symbols per slot and antenna the runner rejects:
+    that point gets a failures.csv row naming M^d_f and the sweep exits 0."""
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        f"[experiment]\nsweep = n_users\nvalues = 6 40\ntrials = 1\noutput = {out}\n"
+        "[scenario]\nn_ores = 9\nd_v = 3\nn_antennas = 2\n"
+        "[joint]\nn_packets = 2\nn_slots = 16\nn_f = 2\n"
+    )
+    cfg = ExperimentConfig.from_file(ini)
+    with pytest.raises(ValueError, match=r"M\^d_f = 4\^14"):
+        JointRunner(*build_system(cfg, 40, 0))
+    assert main(["run", str(ini)]) == 0
+    with open(out / "failures.csv", newline="") as f:
+        rows = list(csv.reader(f))[2:]
+    assert len(rows) == 1
+    assert rows[0][:4] == ["n_users", "40", "0", "ValueError"] and "4^14" in rows[0][4]
+
+
+@pytest.mark.parametrize(
+    "section, lines, named",
+    [
+        ("experiment", "sweep = n_users\nvalues = 6 1e200", "n_users sweep value 1e+200"),
+        ("experiment", "sweep = packets\nvalues = 1000001", "packets sweep value 1000001"),
+        ("scenario", "n_users = 1000001", "n_users = 1000001"),
+        ("joint", "n_packets = 1000001", "joint.n_packets = 1000001"),
+        ("scenario", "n_ores = 40\nd_v = 20", "C(40, 20) candidate supports"),
+    ],
+    ids=["n_users-sweep", "packets-sweep", "n_users", "n_packets", "supports"],
+)
+def test_config_bounds_the_run_size(tmp_path, capsys, section, lines, named):
+    """A user count, packet count or count of candidate supports above the
+    run-size bound is a config error naming the file and the value, found
+    before any support is listed or any point runs."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[{section}]\n{lines}\n")
+    with pytest.raises(ValueError, match="run-size bound") as caught:
+        ExperimentConfig.from_file(ini)
+    assert str(ini) in str(caught.value) and named in str(caught.value)
+    assert main(["run", str(ini)]) == 1
+    assert str(ini) in capsys.readouterr().err
 
 
 def test_bug_in_sweep_point_propagates(small_cfg, tmp_path, monkeypatch):

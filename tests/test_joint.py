@@ -334,6 +334,20 @@ def test_runner_rejects_fewer_slots_than_largest_d_f(truth, links, codebook, pri
     JointRunner(truth, links, codebook, prior, _cfg(n_slots=3))
 
 
+def test_runner_bounds_the_mpa_tables(monkeypatch, truth, links, codebook, prior):
+    """A per-FN table of M^max_d_f x N_T x N_R entries above the bound is
+    rejected, naming M^d_f, unless the ML decoder (which builds no MPA
+    table) runs the book."""
+    entries = codebook.m**codebook.max_d_f * 64 * links.n_antennas
+    monkeypatch.setattr(joint, "_MAX_TABLE_ENTRIES", entries)
+    JointRunner(truth, links, codebook, prior, _cfg(n_slots=64))
+    monkeypatch.setattr(joint, "_MAX_TABLE_ENTRIES", entries - 1)
+    for decoder in ("mpa", "genie"):
+        with pytest.raises(ValueError, match=r"M\^d_f = 4\^3 .* 64 slots x 8 antennas"):
+            JointRunner(truth, links, codebook, prior, _cfg(n_slots=64, decoder=decoder))
+    JointRunner(truth, links, codebook, prior, _cfg(n_slots=64, decoder="ml"))
+
+
 @pytest.mark.parametrize(
     "swap, match",
     [

@@ -124,11 +124,12 @@ def test_scatter_component_inverts_composition(monkeypatch, links, truth, codebo
     """sense's stacked rows are the estimate minus the static channel part:
     for an estimate equal to the composite channel, the scatter part."""
     ch = PacketChannel(links, random_binary_pattern(400, 3, 5))
-    rec = PacketRecord(None, None, ch)
     # a record whose estimate is the exact composite channel
-    rec._est = EstimatedChannel(
+    exact = EstimatedChannel(
         ch.channel(truth.values), np.ones((links.n_ores, links.n_users), dtype=bool)
     )
+    monkeypatch.setattr("jcas.sensing.estimate_channel", lambda y, symbols, cb: exact)
+    rec = PacketRecord(None, np.zeros((3, links.n_users), dtype=int), ch)
     _, y = _stacked_system(monkeypatch, [rec], codebook, prior, "all_ores")
     ores, users = _stacking_pairs(codebook, "all_ores")
     scat = ch.scatter(truth.values)[ores, users].ravel()
@@ -172,6 +173,21 @@ def test_record_keeps_its_estimate_across_an_unchanged_redecode(links, truth, co
     fresh = rec.estimate(codebook)
     assert fresh is not est
     _assert_same_estimate(fresh, estimate_channel(rx, changed, codebook))
+
+
+def test_estimate_follows_in_place_symbol_edits(links, truth, codebook):
+    """An in-place edit of symbol_indices is a new decode: the next estimate
+    is that of the edited symbols, and editing back gives the first one's."""
+    sigma2 = noise_sigma(5.0, codebook)
+    ch, h, frame, rx = _packet(links, truth, codebook, 2, sigma2)
+    rec = PacketRecord(rx, frame.copy(), ch)
+    first = rec.estimate(codebook)
+    rec.symbol_indices[0, 0] = (frame[0, 0] + 1) % codebook.m
+    edited = rec.estimate(codebook)
+    _assert_same_estimate(edited, estimate_channel(rx, rec.symbol_indices, codebook))
+    assert not np.array_equal(edited.h, first.h)
+    rec.symbol_indices[0, 0] = frame[0, 0]
+    _assert_same_estimate(rec.estimate(codebook), first)
 
 
 def test_sense_recovers_truth_noiseless(links, truth, codebook, prior):
