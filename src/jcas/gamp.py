@@ -4,7 +4,9 @@ Bernoulli-Gaussian MAP denoiser.
 The prior on each coordinate is a spike at zero with mass (1 - lam + alpha)
 plus a Gaussian N(theta, sigma_x) carrying mass lam, truncated to [0, 1];
 alpha is the Gaussian mass falling outside (0, 1), folded back onto the
-spike. All sigmas are variances. The solver works on real systems; a
+spike. All sigmas are variances. PriorParams holds the prior alone; the
+measurement noise variance sigma_w is an argument of the solve, since it
+comes from each system's measurements. The solver works on real systems; a
 complex measurement stack A x = h enters as [Re A; Im A] x = [Re h; Im h]
 (x is real), as sensing.sense builds it. A run stops when it settles (the
 residual or the image change falls below its tolerance), when its image
@@ -61,7 +63,6 @@ class PriorParams:
     lam: float = 0.05
     theta: float = 0.5
     sigma_x: float = 0.1
-    sigma_w: float = 0.0
     alpha: float = field(init=False, repr=False, compare=False)
     spike_mass: float = field(init=False, repr=False, compare=False)
 
@@ -70,10 +71,8 @@ class PriorParams:
             raise ValueError(f"sparsity coefficient must lie in (0, 1), got {self.lam}")
         if not 0 <= self.theta <= 1:
             raise ValueError(f"prior mean must lie in [0, 1], got {self.theta}")
-        if self.sigma_x <= 0:
-            raise ValueError("prior variance must be positive")
-        if self.sigma_w < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 < self.sigma_x < np.inf:
+            raise ValueError(f"prior variance must be positive and finite, got {self.sigma_x}")
         s = np.sqrt(self.sigma_x)
         inside = _ndtr((1 - self.theta) / s) - _ndtr((0 - self.theta) / s)
         alpha = float(self.lam * (1.0 - inside))
@@ -137,6 +136,11 @@ def g_out(y, p_hat, sigma_z, sigma_w):
 
 @dataclass
 class GampResult:
+    """One solve's outcome. x is the image and sigma_x its final posterior
+    variances; iterations is the number of updates done; residual is the
+    last squared residual computed; converged is set when the residual or
+    the x-change rule stopped the run (see gamp_solve)."""
+
     x: np.ndarray = field(repr=False)
     sigma_x: np.ndarray = field(repr=False)
     iterations: int = 0
@@ -144,13 +148,13 @@ class GampResult:
     converged: bool = False
 
 
-def _map_objective(phi, y, x, q: PriorParams) -> float:
-    """Log of the (unnormalized) MAP objective at a candidate x.
+def _map_objective(phi, y, x, q: PriorParams, sw) -> float:
+    """Log of the (unnormalized) MAP objective at a candidate x, for noise
+    variance sw > 0.
 
     Coordinates at exactly 0 take the spike mass; nonzero coordinates take
     the Gaussian-branch density times its mass lam.
     """
-    sw = max(q.sigma_w, 1e-12)
     x = np.asarray(x, dtype=float)
     on = x != 0
     log_gauss = np.log(q.lam) - _LOG_SQRT_2PI - 0.5 * np.log(q.sigma_x)
@@ -162,14 +166,13 @@ def _map_objective(phi, y, x, q: PriorParams) -> float:
     )
 
 
-def _polish_support(phi, y, q: PriorParams, support):
+def _polish_support(phi, y, q: PriorParams, sw, support):
     """Best x restricted to a support: box-constrained ridge LS toward theta."""
     from scipy.optimize import lsq_linear  # slow to import; only restarts > 0 get here
 
     n = phi.shape[1]
     x = np.zeros(n)
     if support:
-        sw = max(q.sigma_w, 1e-12)
         sub = list(support)
         a = np.vstack(
             [phi[:, sub] / np.sqrt(2 * sw), np.eye(len(sub)) / np.sqrt(2 * q.sigma_x)]
@@ -181,7 +184,7 @@ def _polish_support(phi, y, q: PriorParams, support):
     return x
 
 
-def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
+def _gamp_iterate(phi, y, q, sigma_w, x0, eps_t, max_iter, damping) -> GampResult:
     n = phi.shape[1]
     phi2 = phi**2
     x_hat = np.full(n, q.theta * q.lam) if x0 is None else np.asarray(x0, float).copy()
@@ -212,7 +215,7 @@ def _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping) -> GampResult:
                 x_hat, sig_x, t, residual,
             )
 
-        s_new, gp_out = g_out(y, p_hat, sig_z, q.sigma_w)
+        s_new, gp_out = g_out(y, p_hat, sig_z, sigma_w)
         s_hat = damping * s_new + (1 - damping) * s_hat
         sig_s = -gp_out
 
@@ -241,6 +244,7 @@ def gamp_solve(
     phi,
     y,
     q: PriorParams,
+    sigma_w,
     eps_t=None,
     max_iter=200,
     damping=0.7,
@@ -248,23 +252,25 @@ def gamp_solve(
     restarts=0,
     seed=0,
 ) -> GampResult:
-    """Iterative solve of y = phi @ x + w under the truncated BG prior.
+    """Iterative solve of y = phi @ x + w under the truncated BG prior q,
+    for measurement noise w of variance sigma_w (finite, >= 0) per entry.
 
     Follows the standard update schedule (linear step, output step, input
     step) with damping on the s and x iterates; damping=1 disables it. Two
     rules stop the run early, and either counts as converged: the squared
-    residual sum(|y - z|^2) drops below eps_t (default: 1e-12 times the
-    measurement energy; checked before an update), or an update moves the
-    image by at most 1e-4 relative, ||x_t - x_{t-1}|| <= 1e-4 * ||x_t||
-    (checked after the damped x update). The residual also holds model
-    error (e.g. from wrong decodes), so it may never reach eps_t; the
-    x-change rule ends such runs once the image settles. A third rule ends
-    a run whose image never settles: once the relative x change has gone
-    30 updates without a new low, the run stops, not converged, with its
-    current iterate, as a cap at that update would (the count pauses while
-    the residual is above 10x its initial value, so a diverging run is left
-    to the divergence rule). Otherwise it stops, not converged, after
-    max_iter updates. iterations counts the updates done. Raises
+    residual sum(|y - z|^2) drops below eps_t (checked before an update),
+    or an update moves the image by at most 1e-4 relative,
+    ||x_t - x_{t-1}|| <= 1e-4 * ||x_t|| (checked after the damped x
+    update). eps_t defaults to the noise floor, the larger of 1e-12 times
+    the measurement energy and sigma_w times the number of measurements:
+    the residual cannot fall below the noise energy. Model error (e.g. from
+    wrong decodes) may keep it above even that; the x-change rule ends such
+    runs once the image settles. A third rule ends a run whose image never
+    settles: once the relative x change has gone 30 updates without a new
+    low, the run stops, not converged, with its current iterate, as a cap
+    at that update would (the count pauses while the residual is above 10x
+    its initial value, so a diverging run is left to the divergence rule).
+    Otherwise it stops, not converged, after max_iter updates. Raises
     GampDivergence when the residual exceeds 10x its initial value for 5
     consecutive iterations.
 
@@ -272,9 +278,9 @@ def gamp_solve(
     systems: the plain run plus `restarts` randomly re-initialized runs each
     propose candidate supports, every candidate is polished by a
     box-constrained ridge fit, and the candidate with the best MAP objective
-    wins. Matched-filter support pairs are added to the candidate pool.
-    It counts as converged when the winner meets eps_t.
-    The plain mode (restarts=0) never polishes.
+    (under a noise variance floored just above zero) wins. Matched-filter
+    support pairs are added to the candidate pool. It counts as converged
+    when the winner meets eps_t. The plain mode (restarts=0) never polishes.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -282,10 +288,12 @@ def gamp_solve(
         raise ValueError(f"bad system shapes: phi {phi.shape}, y {y.shape}")
     if not 0 < damping <= 1:
         raise ValueError("damping must lie in (0, 1]")
+    if not 0 <= sigma_w < np.inf:
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma_w}")
     if eps_t is None:
-        eps_t = 1e-12 * float(np.sum(y**2)) + 1e-30
+        eps_t = max(1e-12 * float(np.sum(y**2)), sigma_w * len(y))
     if restarts == 0:
-        return _gamp_iterate(phi, y, q, x0, eps_t, max_iter, damping)
+        return _gamp_iterate(phi, y, q, sigma_w, x0, eps_t, max_iter, damping)
 
     n = phi.shape[1]
     rng = np.random.default_rng(seed)
@@ -296,7 +304,7 @@ def gamp_solve(
     last = None
     for start in inits:
         try:
-            res = _gamp_iterate(phi, y, q, start, eps_t, max_iter, damping)
+            res = _gamp_iterate(phi, y, q, sigma_w, start, eps_t, max_iter, damping)
         except GampDivergence:
             continue
         last = res
@@ -308,10 +316,11 @@ def gamp_solve(
     for pair in itertools.combinations(top, 2):
         proposals.add(tuple(sorted(int(i) for i in pair)))
 
+    sw = max(sigma_w, 1e-12)
     best_x, best_obj = None, -np.inf
     for sup in proposals:
-        cand = _polish_support(phi, y, q, sup)
-        obj = _map_objective(phi, y, cand, q)
+        cand = _polish_support(phi, y, q, sw, sup)
+        obj = _map_objective(phi, y, cand, q, sw)
         if obj > best_obj:
             best_x, best_obj = cand, obj
     residual = float(np.sum((y - phi @ best_x) ** 2))

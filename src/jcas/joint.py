@@ -34,6 +34,7 @@ to those built one packet at a time, so the block length changes no
 output.
 """
 
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,6 +79,9 @@ class JointConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_packets", "n_slots", "n_pilot", "n_f", "n_b", "k_s", "k_it"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_packets < 1 or self.n_slots < 1:
             raise ValueError("need at least one packet and one slot")
         if self.n_f < 1 or self.k_s < 1 or self.k_it < 1:

@@ -188,27 +188,28 @@ def _combo_digits(idx, m, n):
 
 
 def _balanced_supports(n_users, n_ores, d_v):
-    """Pick one ORE subset of size d_v per user, keeping per-ORE loads balanced."""
+    """Pick one ORE subset of size d_v per user, keeping per-ORE loads balanced.
+
+    Deterministic greedy: each user takes the support with the lowest
+    resulting peak load, then the least used one, then the one on the least
+    loaded OREs, then the first in lexicographic order. Each step is one
+    pass over the (C, d_v) array of all supports.
+    """
     combos = list(itertools.combinations(range(n_ores), d_v))
-    loads = [0] * n_ores
-    used = {c: 0 for c in combos}
+    members = np.array(combos, dtype=np.intp)
+    index = np.arange(len(combos))
+    loads = np.zeros(n_ores, dtype=np.int64)
+    used = np.zeros(len(combos), dtype=np.int64)
     supports = []
     for _ in range(n_users):
-        # deterministic greedy: lowest resulting max load wins, prefer fresh
-        # supports, then the least-loaded OREs
-        best = min(
-            combos,
-            key=lambda c: (
-                max(loads[r] + 1 if r in c else loads[r] for r in range(n_ores)),
-                used[c],
-                sum(loads[r] for r in c),
-                c,
-            ),
-        )
-        supports.append(best)
+        on = loads[members]
+        top = loads.max()
+        # adding a support raises the peak exactly when it holds a peak ORE
+        peak = top + (on == top).any(axis=1)
+        best = np.lexsort((index, on.sum(axis=1), used, peak))[0]
+        supports.append(combos[best])
         used[best] += 1
-        for r in best:
-            loads[r] += 1
+        loads[members[best]] += 1
     return supports
 
 

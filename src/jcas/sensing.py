@@ -2,7 +2,9 @@
 
 Per packet: least-squares channel estimation over the time dimension, exact
 subtraction of the known LOS and direct-IRS parts, then stacking the
-windowed scatter rows into one compressed-sensing system solved by GAMP.
+windowed scatter rows into one compressed-sensing system solved by GAMP,
+whose noise variance is the window's mean estimate variance; the prior is
+passed through as given.
 Momentum toward the previous image is the closed loop's policy and lives in
 JointRunner.forward_step.
 
@@ -173,10 +175,4 @@ def sense(records, cb: Codebook, prior: PriorParams, ore_mode: str = "user_first
     yv = np.concatenate([h_tilde.real, h_tilde.imag])
     # lifted real parts carry half the complex estimate variance each
     sigma_w = max(np.mean(noise_vars) / 2.0, 1e-15)
-    q = PriorParams(prior.lam, prior.theta, prior.sigma_x, sigma_w)
-    # stop at the estimation-noise floor: the residual cannot fall below the
-    # noise energy in the stacked rows; where model error from wrong decodes
-    # keeps it above even that, gamp_solve's x-change rule ends the run, or
-    # its stall rule once the image change stops making new lows
-    eps_t = max(1e-12 * float(np.sum(yv**2)), sigma_w * len(yv))
-    return gamp_solve(phi, yv, q, eps_t=eps_t)
+    return gamp_solve(phi, yv, prior, sigma_w)

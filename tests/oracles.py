@@ -37,16 +37,16 @@ def g_in_grid_search(v, sigma_v, q, grid_points=200_001):
     return 0.0
 
 
-def map_support_enumeration(phi, y, q, max_support=2):
+def map_support_enumeration(phi, y, q, sigma_w, max_support=2):
     """Exact MAP of the spike-plus-truncated-Gaussian prior by support search.
 
     For every support of size <= max_support, solves the box-constrained
     ridge problem min ||y - phi_S x_S||^2/(2 sw) + ||x_S - theta||^2/(2 sx)
-    with lsq_linear, adds the per-coordinate prior log-masses, and keeps the
-    best. Returns (x, support_tuple).
+    with lsq_linear (sw = sigma_w floored at 1e-12), adds the per-coordinate
+    prior log-masses, and keeps the best. Returns (x, support_tuple).
     """
     n = phi.shape[1]
-    sw = max(q.sigma_w, 1e-12)
+    sw = max(sigma_w, 1e-12)
     log_spike = np.log(q.spike_mass)
     log_gauss = np.log(q.lam) - _LOG_SQRT_2PI - 0.5 * np.log(q.sigma_x)
 
@@ -84,6 +84,31 @@ def map_support_enumeration(phi, y, q, max_support=2):
         if obj > best_obj:
             best_obj, best_x, best_sup = obj, x, sup
     return best_x, best_sup
+
+
+def balanced_supports_reference(n_users, n_ores, d_v):
+    """scma._balanced_supports' greedy written out over tuples: each user
+    takes the support minimizing (peak load after adding it, times used,
+    load on its OREs, the support itself)."""
+    combos = list(itertools.combinations(range(n_ores), d_v))
+    loads = [0] * n_ores
+    used = {c: 0 for c in combos}
+    supports = []
+    for _ in range(n_users):
+        best = min(
+            combos,
+            key=lambda c: (
+                max(loads[r] + 1 if r in c else loads[r] for r in range(n_ores)),
+                used[c],
+                sum(loads[r] for r in c),
+                c,
+            ),
+        )
+        supports.append(best)
+        used[best] += 1
+        for r in best:
+            loads[r] += 1
+    return supports
 
 
 def mpa_reference(y, h, cb, sigma2, k_it=10):

@@ -220,7 +220,8 @@ def test_criterion_5_mpa_vs_ml():
 
 def test_criterion_6_gamp_oracle():
     rng = np.random.default_rng(77)
-    q_tmpl = dict(theta=0.5, sigma_x=0.1, sigma_w=1e-6)
+    q_tmpl = dict(theta=0.5, sigma_x=0.1)
+    sigma_w = 1e-6
     support_hits = 0
     value_ok = True
     for _ in range(200):
@@ -232,8 +233,8 @@ def test_criterion_6_gamp_oracle():
         x[sup] = vals
         y = phi @ x
         q = PriorParams(lam=2 / n, **q_tmpl)
-        got = gamp_solve(phi, y, q, restarts=8, seed=3).x
-        ref, _ = map_support_enumeration(phi, y, q, max_support=2)
+        got = gamp_solve(phi, y, q, sigma_w, restarts=8, seed=3).x
+        ref, _ = map_support_enumeration(phi, y, q, sigma_w, max_support=2)
         sup_got = frozenset(np.flatnonzero(got > 1e-2))
         sup_ref = frozenset(np.flatnonzero(ref > 1e-2))
         if sup_got == sup_ref:

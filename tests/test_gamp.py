@@ -18,14 +18,17 @@ _props = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 def test_prior_params_validation():
-    with pytest.raises(ValueError):
-        PriorParams(lam=0.0)
-    with pytest.raises(ValueError):
-        PriorParams(theta=1.5)
-    with pytest.raises(ValueError):
-        PriorParams(sigma_x=0.0)
-    with pytest.raises(ValueError):
-        PriorParams(sigma_w=-1.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sparsity"):
+            PriorParams(lam=bad)
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="prior mean"):
+            PriorParams(theta=bad)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="prior variance must be positive"):
+            PriorParams(sigma_x=bad)
+    with pytest.raises(TypeError):
+        PriorParams(0.05, 0.5, 0.1, 0.01)  # the noise variance is the solve's
 
 
 def test_alpha_is_outside_mass():
@@ -128,12 +131,12 @@ def test_gamp_one_iteration_hand_stepped():
     """gamp_solve(max_iter=1) must match the update schedule written out."""
     rng = np.random.default_rng(1)
     phi = rng.standard_normal((6, 4))
-    q = PriorParams(lam=0.3, theta=0.5, sigma_x=0.1, sigma_w=0.01)
+    q, sigma_w = PriorParams(lam=0.3, theta=0.5, sigma_x=0.1), 0.01
     x_true = np.array([0.8, 0.0, 0.0, 0.4])
     y = phi @ x_true
     damping = 0.7
 
-    res = gamp_solve(phi, y, q, max_iter=1, damping=damping)
+    res = gamp_solve(phi, y, q, sigma_w, max_iter=1, damping=damping)
 
     x = np.full(4, q.theta * q.lam)
     sx = np.full(4, q.sigma_x)
@@ -141,7 +144,7 @@ def test_gamp_one_iteration_hand_stepped():
     phi2 = phi**2
     sz = phi2 @ sx
     p = phi @ x - sz * s
-    s_new, gp = g_out(y, p, sz, q.sigma_w)
+    s_new, gp = g_out(y, p, sz, sigma_w)
     s = damping * s_new
     sv = 1.0 / (phi2.T @ (-gp))
     v = x + sv * (phi.T @ s)
@@ -157,8 +160,8 @@ def test_gamp_recovers_sparse_vector():
     x_true = np.zeros(12)
     x_true[[3, 7]] = [0.6, 0.35]
     y = phi @ x_true
-    q = PriorParams(lam=2 / 12, theta=0.5, sigma_x=0.1, sigma_w=1e-10)
-    res = gamp_solve(phi, y, q)
+    q = PriorParams(lam=2 / 12, theta=0.5, sigma_x=0.1)
+    res = gamp_solve(phi, y, q, 1e-10)
     assert res.converged
     assert np.allclose(res.x, x_true, atol=1e-4)
 
@@ -176,9 +179,9 @@ def test_gamp_matches_support_enumeration_oracle():
         sup = rng.choice(12, 2, replace=False)
         x_true[sup] = rng.uniform(0.2, 1.0, 2)
         y = phi @ x_true + np.sqrt(1e-6) * rng.standard_normal(8)
-        q = PriorParams(lam=2 / 12, theta=0.5, sigma_x=0.1, sigma_w=1e-6)
-        x_ref, sup_ref = map_support_enumeration(phi, y, q)
-        res = gamp_solve(phi, y, q, restarts=8, seed=i)
+        q = PriorParams(lam=2 / 12, theta=0.5, sigma_x=0.1)
+        x_ref, sup_ref = map_support_enumeration(phi, y, q, 1e-6)
+        res = gamp_solve(phi, y, q, 1e-6, restarts=8, seed=i)
         got = tuple(int(j) for j in np.flatnonzero(res.x > 1e-2))
         if got == sup_ref:
             hits += 1
@@ -193,10 +196,10 @@ def test_gamp_stops_at_eps_t():
     x_true[2] = 0.5
     y = phi @ x_true
     q = PriorParams(lam=0.1, theta=0.5, sigma_x=0.1)
-    loose = gamp_solve(phi, y, q, eps_t=1e-2)
+    loose = gamp_solve(phi, y, q, 0.0, eps_t=1e-2)
     assert loose.converged
     assert loose.residual <= 1e-2
-    tight = gamp_solve(phi, y, q, eps_t=1e-6)
+    tight = gamp_solve(phi, y, q, 0.0, eps_t=1e-6)
     assert loose.iterations <= tight.iterations
 
 
@@ -207,8 +210,8 @@ def _noisy_system(seed):
     x_true = np.zeros(20)
     x_true[[3, 11, 17]] = [0.7, 0.4, 0.9]
     noise = 0.1 * rng.standard_normal(40)
-    q = PriorParams(lam=0.15, theta=0.5, sigma_x=0.1, sigma_w=0.01)
-    return phi, phi @ x_true + noise, q, 1e-3 * float(np.sum(noise**2))
+    q = PriorParams(lam=0.15, theta=0.5, sigma_x=0.1)
+    return phi, phi @ x_true + noise, q, 0.01, 1e-3 * float(np.sum(noise**2))
 
 
 # Which rule stopped a run: the residual rule returns a residual <= eps_t;
@@ -220,13 +223,13 @@ def test_gamp_stops_when_image_stops_moving(monkeypatch):
     """Below the noise floor only the x-change rule can stop the run early,
     and it stops close to where running on to the cap would end."""
     for seed in range(3):
-        phi, y, q, eps_t = _noisy_system(seed)
-        res = gamp_solve(phi, y, q, eps_t=eps_t)
+        phi, y, q, sigma_w, eps_t = _noisy_system(seed)
+        res = gamp_solve(phi, y, q, sigma_w, eps_t=eps_t)
         assert res.converged and res.residual > eps_t
         assert 1 < res.iterations < 200
         with monkeypatch.context() as m:
             m.setattr(gamp_module, "_X_TOL", 0.0)
-            capped = gamp_solve(phi, y, q, eps_t=eps_t)
+            capped = gamp_solve(phi, y, q, sigma_w, eps_t=eps_t)
         assert not capped.converged and capped.iterations == 200
         rel = np.linalg.norm(res.x - capped.x) / np.linalg.norm(capped.x)
         assert rel <= 10 * gamp_module._X_TOL
@@ -239,23 +242,23 @@ def _stalling_system():
     x_true = np.zeros(40)
     x_true[rng.choice(40, 5, replace=False)] = rng.uniform(0.2, 1, 5)
     y = phi @ x_true + 0.1 * rng.standard_normal(20)
-    return phi, y, PriorParams(lam=5 / 40, theta=0.5, sigma_x=0.1, sigma_w=0.01)
+    return phi, y, PriorParams(lam=5 / 40, theta=0.5, sigma_x=0.1), 0.01
 
 
 def test_gamp_stalled_run_returns_what_the_cap_would(monkeypatch):
     """A run whose image change goes _STALL updates without a new low stops,
     not converged, with exactly what a cap at that update returns."""
-    phi, y, q = _stalling_system()
-    res = gamp_solve(phi, y, q, eps_t=1e-6)
+    phi, y, q, sigma_w = _stalling_system()
+    res = gamp_solve(phi, y, q, sigma_w, eps_t=1e-6)
     assert not res.converged and gamp_module._STALL < res.iterations < 200
-    capped = gamp_solve(phi, y, q, eps_t=1e-6, max_iter=res.iterations)
+    capped = gamp_solve(phi, y, q, sigma_w, eps_t=1e-6, max_iter=res.iterations)
     assert not capped.converged and capped.iterations == res.iterations
     assert np.array_equal(res.x, capped.x)
     assert np.array_equal(res.sigma_x, capped.sigma_x)
     assert res.residual == capped.residual
     # the stall rule is what ended it: without it the run goes to the cap
     monkeypatch.setattr(gamp_module, "_STALL", 10**6)
-    assert gamp_solve(phi, y, q, eps_t=1e-6).iterations == 200
+    assert gamp_solve(phi, y, q, sigma_w, eps_t=1e-6).iterations == 200
 
 
 def _diverging_loop_system():
@@ -276,9 +279,9 @@ def _diverging_loop_system():
     systems = []
     solve = sensing.gamp_solve
 
-    def capture(phi, y, q, **kwargs):
-        systems.append((phi, y, q, kwargs))
-        return solve(phi, y, q, **kwargs)
+    def capture(phi, y, q, sigma_w, **kwargs):
+        systems.append((phi, y, q, sigma_w, kwargs))
+        return solve(phi, y, q, sigma_w, **kwargs)
 
     sensing.gamp_solve = capture
     try:
@@ -293,31 +296,31 @@ def test_gamp_stall_rule_leaves_divergence_to_its_rule():
     """The stall count pauses while the residual is above 10x its initial
     value, so a run that diverges still raises GampDivergence where it did
     (counting through the streak would stop this one at update 33)."""
-    phi, y, q, kwargs = _diverging_loop_system()
+    phi, y, q, sigma_w, kwargs = _diverging_loop_system()
     with pytest.raises(GampDivergence) as exc:
-        gamp_solve(phi, y, q, **kwargs)
+        gamp_solve(phi, y, q, sigma_w, **kwargs)
     assert exc.value.iteration == 33
 
 
 def test_gamp_stop_rule_at_one_iteration(monkeypatch):
-    phi, y, q, eps_t = _noisy_system(0)
-    one = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)
+    phi, y, q, sigma_w, eps_t = _noisy_system(0)
+    one = gamp_solve(phi, y, q, sigma_w, eps_t=eps_t, max_iter=1)
     assert not one.converged and one.iterations == 1
     # a rule that fires first wins: the residual before any update, or the
     # x change after the first one
-    at_start = gamp_solve(phi, y, q, eps_t=1e6, max_iter=1)
+    at_start = gamp_solve(phi, y, q, sigma_w, eps_t=1e6, max_iter=1)
     assert at_start.converged and at_start.iterations == 0
     monkeypatch.setattr(gamp_module, "_X_TOL", 1e6)
-    moved = gamp_solve(phi, y, q, eps_t=eps_t, max_iter=1)
+    moved = gamp_solve(phi, y, q, sigma_w, eps_t=eps_t, max_iter=1)
     assert moved.converged and moved.residual > eps_t and moved.iterations == 1
     assert np.array_equal(moved.x, one.x)
     # the change is relative to the new image: from x0 = 1 toward y = 0 the
     # first update moves about 0.55 of ||x0|| but 0.98 of ||x1||
     zero, x0 = np.zeros(40), np.ones(20)
     monkeypatch.setattr(gamp_module, "_X_TOL", 0.75)
-    assert not gamp_solve(phi, zero, q, x0=x0, max_iter=1).converged
+    assert not gamp_solve(phi, zero, q, sigma_w, x0=x0, max_iter=1).converged
     monkeypatch.setattr(gamp_module, "_X_TOL", 1.0)
-    assert gamp_solve(phi, zero, q, x0=x0, max_iter=1).converged
+    assert gamp_solve(phi, zero, q, sigma_w, x0=x0, max_iter=1).converged
 
 
 @_props
@@ -334,9 +337,9 @@ def test_gamp_plain_output_in_unit_box(seed, shape, lam, theta, sigma_x, sigma_w
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal(shape)
     y = scale * rng.standard_normal(shape[0])
-    q = PriorParams(lam=lam, theta=theta, sigma_x=sigma_x, sigma_w=sigma_w)
+    q = PriorParams(lam=lam, theta=theta, sigma_x=sigma_x)
     try:
-        x = gamp_solve(phi, y, q, max_iter=50).x
+        x = gamp_solve(phi, y, q, sigma_w, max_iter=50).x
     except GampDivergence as exc:
         x = exc.x
     assert np.all((x >= 0.0) & (x <= 1.0))
@@ -345,9 +348,28 @@ def test_gamp_plain_output_in_unit_box(seed, shape, lam, theta, sigma_x, sigma_w
 def test_gamp_input_validation():
     q = PriorParams()
     with pytest.raises(ValueError):
-        gamp_solve(np.zeros((3, 2)), np.zeros(4), q)
+        gamp_solve(np.zeros((3, 2)), np.zeros(4), q, 0.0)
     with pytest.raises(ValueError):
-        gamp_solve(np.zeros((3, 2)), np.zeros(3), q, damping=0.0)
+        gamp_solve(np.zeros((3, 2)), np.zeros(3), q, 0.0, damping=0.0)
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise variance"):
+            gamp_solve(np.zeros((3, 2)), np.zeros(3), q, bad)
+    with pytest.raises(TypeError):
+        gamp_solve(np.zeros((3, 2)), np.zeros(3), q)  # sigma_w is required
+
+
+def test_gamp_default_target_is_the_noise_floor():
+    """eps_t=None stops at max(1e-12 * sum(y^2), sigma_w * len(y))."""
+    for seed in range(3):
+        phi, y, q, sigma_w, _ = _noisy_system(seed)
+        floor = max(1e-12 * float(np.sum(y**2)), sigma_w * len(y))
+        default = gamp_solve(phi, y, q, sigma_w)
+        explicit = gamp_solve(phi, y, q, sigma_w, eps_t=floor)
+        assert np.array_equal(default.x, explicit.x)
+        assert np.array_equal(default.sigma_x, explicit.sigma_x)
+        assert (default.iterations, default.residual, default.converged) == (
+            explicit.iterations, explicit.residual, explicit.converged
+        )
 
 
 def test_divergence_carries_state():

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,6 +32,18 @@ def test_config_validation():
         JointConfig(k_s=0)
     with pytest.raises(ValueError):
         JointConfig(n_f=0)
+
+
+@pytest.mark.parametrize(
+    "name", ["n_packets", "n_slots", "n_pilot", "n_f", "n_b", "k_s", "k_it"]
+)
+def test_config_rejects_non_integer_counts(name):
+    """A count that is not an integer is rejected when the config is built,
+    not deep inside a run (a float n_slots used to die in random_frame)."""
+    for bad in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match=name):
+            replace(JointConfig(), **{name: bad})
+    assert getattr(replace(JointConfig(), **{name: np.int64(1)}), name) == 1
 
 
 def test_config_rejects_momentum_outside_unit_interval():

@@ -67,10 +67,14 @@ def test_tracer_observers_read_what_the_loop_gives_them():
         tracer.install()
         JointRunner(*build_system(cfg, 6, 0)).run()
         # an identity system started next to its fit: the sparse prior pulls
-        # the image to zero, so the residual stays above 10x its start
+        # the image to zero, so the residual stays above 10x its start (the
+        # target sits below the start, where the noise floor would not)
         y = np.full(4, 1e-3)
+        eps_t = 1e-12 * float(np.sum(y**2)) + 1e-30
         with pytest.raises(GampDivergence):
-            jcas.gamp.gamp_solve(np.eye(4), y, PriorParams(0.05, 0.5, 0.1, 1e-2), x0=y + 1e-6)
+            jcas.gamp.gamp_solve(
+                np.eye(4), y, PriorParams(0.05, 0.5, 0.1), 1e-2, eps_t=eps_t, x0=y + 1e-6
+            )
     finally:
         tracer.uninstall()
     moved = (

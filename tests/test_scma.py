@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from jcas import scma
 from jcas.scma import (
     Codebook,
     CodebookError,
@@ -12,6 +13,7 @@ from jcas.scma import (
     load_codebook,
     save_codebook,
 )
+from oracles import balanced_supports_reference
 
 
 def test_default_codebook_structure():
@@ -52,6 +54,18 @@ def test_balanced_irregular_book():
     loads = [len(users) for users in factor_graph(cb).lambda_r]
     assert set(loads) == {3, 4}
     assert cb.max_d_f == 4
+
+
+def test_balanced_supports_match_the_tuple_greedy():
+    """The array greedy picks the supports the tuple-keyed greedy picks, on
+    every (n_users, n_ores, d_v) with n_ores <= 8 and n_users <= 40,
+    including the triples it leaves unbalanced."""
+    for n_ores in range(1, 9):
+        for d_v in range(1, n_ores + 1):
+            for n_users in range(1, 41):
+                assert scma._balanced_supports(n_users, n_ores, d_v) == (
+                    balanced_supports_reference(n_users, n_ores, d_v)
+                ), (n_users, n_ores, d_v)
 
 
 def test_support_reuse_allowed_when_needed():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jcas.gamp as gamp_module
 from jcas.channel import PacketChannel, random_binary_pattern
 from jcas.joint import JointConfig, JointRunner
 from jcas.mpa import mpa_decode, ser
@@ -235,6 +236,30 @@ def test_sense_validation(codebook, prior):
         sense(records, codebook, prior, ore_mode="bogus")
 
 
+def test_sense_hands_gamp_the_window_noise(monkeypatch, links, truth, codebook, prior):
+    """Each solve of a closed loop gets the runner's prior as it is and, as
+    its noise variance, half the window's mean estimate variance (per lifted
+    real row), floored at 1e-15; the stop target is left to gamp_solve."""
+    runner = JointRunner(
+        truth, links, codebook, prior, JointConfig(n_packets=4, n_f=3, k_s=2, ebn0_db=5.0)
+    )
+    solve = gamp_module.gamp_solve
+    calls = []
+
+    def spied(*args, **kwargs):
+        noise = [estimate_channel(r.y, r.symbol_indices, codebook).noise_var
+                 for r, *_ in runner.window]
+        calls.append((args, kwargs, max(np.mean(noise) / 2.0, 1e-15)))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("jcas.sensing.gamp_solve", spied)
+    runner.run()
+    assert len(calls) >= 4
+    for args, kwargs, sigma_w in calls:
+        assert len(args) == 4 and kwargs == {}
+        assert args[2] is prior and args[3] == sigma_w > 1e-15
+
+
 class _Stacked(Exception):
     """Raised by the gamp_solve stand-in with the system sense passed it."""
 
@@ -242,7 +267,7 @@ class _Stacked(Exception):
 def _stacked_system(monkeypatch, records, cb, prior, ore_mode):
     """The (phi, y) that sense passes to gamp_solve."""
 
-    def capture(phi, y, q, **kwargs):
+    def capture(phi, y, q, sigma_w, **kwargs):
         raise _Stacked(phi.copy(), y.copy())
 
     monkeypatch.setattr("jcas.sensing.gamp_solve", capture)
