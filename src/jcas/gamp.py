@@ -54,7 +54,8 @@ def _ndtr(a: float) -> float:
 class PriorParams:
     """Truncated Bernoulli-Gaussian prior parameters (variances, not stds).
 
-    alpha (the Gaussian mass outside (0, 1)) and spike_mass (1 - lam + alpha)
+    alpha (the Gaussian mass outside (0, 1)), spike_mass (1 - lam + alpha)
+    and the MAP log-densities of the two branches, log_gauss and log_spike,
     are derived from (lam, theta, sigma_x) once, at construction; the
     instance is frozen, and dataclasses.replace constructs anew, so they
     cannot go stale.
@@ -65,6 +66,8 @@ class PriorParams:
     sigma_x: float = 0.1
     alpha: float = field(init=False, repr=False, compare=False)
     spike_mass: float = field(init=False, repr=False, compare=False)
+    log_gauss: float = field(init=False, repr=False, compare=False)
+    log_spike: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.lam < 1:
@@ -80,6 +83,9 @@ class PriorParams:
         object.__setattr__(self, "spike_mass", 1.0 - self.lam + alpha)
         if not 0 < self.spike_mass <= 1:
             raise ValueError("1 - lam + alpha must lie in (0, 1]")
+        log_gauss = np.log(self.lam) - _LOG_SQRT_2PI - 0.5 * np.log(self.sigma_x)
+        object.__setattr__(self, "log_gauss", log_gauss)
+        object.__setattr__(self, "log_spike", np.log(self.spike_mass))
 
 
 class GampDivergence(RuntimeError):
@@ -109,14 +115,8 @@ def g_in(v_hat, sigma_v, q: PriorParams):
 
     x_g = (q.sigma_x * v + sv * q.theta) / (q.sigma_x + sv)
     x_c = np.clip(x_g, 0.0, 1.0)
-    f_gauss = (
-        np.log(q.lam)
-        - _LOG_SQRT_2PI
-        - 0.5 * np.log(q.sigma_x)
-        - (x_c - q.theta) ** 2 / (2 * q.sigma_x)
-        - (v - x_c) ** 2 / (2 * sv)
-    )
-    f_spike = np.log(q.spike_mass) - v**2 / (2 * sv)
+    f_gauss = q.log_gauss - (x_c - q.theta) ** 2 / (2 * q.sigma_x) - (v - x_c) ** 2 / (2 * sv)
+    f_spike = q.log_spike - v**2 / (2 * sv)
 
     gauss_wins = f_gauss > f_spike
     x_hat = np.where(gauss_wins, x_c, 0.0)
@@ -157,12 +157,11 @@ def _map_objective(phi, y, x, q: PriorParams, sw) -> float:
     """
     x = np.asarray(x, dtype=float)
     on = x != 0
-    log_gauss = np.log(q.lam) - _LOG_SQRT_2PI - 0.5 * np.log(q.sigma_x)
     return float(
         -np.sum((y - phi @ x) ** 2) / (2 * sw)
         - np.sum((x[on] - q.theta) ** 2) / (2 * q.sigma_x)
-        + np.count_nonzero(on) * log_gauss
-        + np.count_nonzero(~on) * np.log(q.spike_mass)
+        + np.count_nonzero(on) * q.log_gauss
+        + np.count_nonzero(~on) * q.log_spike
     )
 
 

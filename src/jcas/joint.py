@@ -17,13 +17,12 @@ the record's received frame against its channel at the current image, or,
 for the genie decoder, at the true scene.
 
 The runner keeps three per-packet stores. The window is a bounded deque of
-(PacketRecord, sent symbol indices, PacketTrace row, genie channel) entries
-for the last n_f packets. The genie channel is the packet's true channel,
-computed once to transmit and kept for the genie decoder's decodes; the
-other decoders keep None there. _x_hist holds the images after the last
-n_b + 1 packets, which feedback compares to skip a span whose image has
-stopped moving. _channels holds the PacketChannels built ahead for packets
-still to come (see below).
+(PacketRecord, sent symbol indices, PacketTrace row, true channel) entries
+for the last n_f packets. The true channel is computed once to transmit and
+kept for the genie decoder's decodes; the other decoders ignore it. _x_hist
+holds the images after the last n_b + 1 packets, which feedback compares to
+skip a span whose image has stopped moving. _channels holds the
+PacketChannels built ahead for packets still to come (see below).
 
 A packet's IRS pattern is keyed by (seed, packet), so the receiver knows
 the patterns of the packets to come and may build their channels ahead:
@@ -168,7 +167,7 @@ class JointRunner:
             else 0.05 * np.sqrt(n_s * prior.lam)
         )
         self.sigma2 = noise_sigma(config.ebn0_db, cb)
-        # (record, sent symbol indices, trace row, genie channel) of the last
+        # (record, sent symbol indices, trace row, true channel) of the last
         # n_f packets
         self.window = deque(maxlen=config.n_f)
         self.x_hat = np.zeros(n_s)
@@ -192,12 +191,12 @@ class JointRunner:
 
     # -- decoding -----------------------------------------------------------
 
-    def _decode(self, rec: PacketRecord, h_genie):
+    def _decode(self, rec: PacketRecord, h_true):
         """Decode rec's received frame against its channel at the current
-        image, or against h_genie, its true channel, for the genie decoder;
+        image, or against h_true, its true channel, for the genie decoder;
         the decoded symbol indices replace rec's and are returned."""
         cfg = self.config
-        h = h_genie if cfg.decoder == "genie" else rec.channel.channel(self.x_hat)
+        h = h_true if cfg.decoder == "genie" else rec.channel.channel(self.x_hat)
         if cfg.decoder == "ml":
             decoded = ml_decode(rec.y, h, self.cb)
         else:
@@ -208,7 +207,8 @@ class JointRunner:
     # -- loop steps --------------------------------------------------------
 
     def forward_step(self, packet: int) -> PacketTrace:
-        """Transmit, decode against the predicted channel, image, self-iterate."""
+        """Transmit, then self-iterate: decode against the predicted channel
+        (pilots skip it), image."""
         cfg = self.config
         t0 = time.perf_counter()
         ch = self._channel(packet)
@@ -219,25 +219,18 @@ class JointRunner:
             np.random.SeedSequence((cfg.seed, 2, packet)),
         )
         rec = PacketRecord(y, sent, ch)
-        # only the genie decoder decodes against the true channel
-        h_genie = h_true if cfg.decoder == "genie" else None
-        # pilot symbols are known a priori; nothing to decode
-        is_pilot = packet <= cfg.n_pilot
-        if not is_pilot:
-            self._decode(rec, h_genie)
+        # pilot symbols are known a priori: never decoded, so ser stays 0
         trace = PacketTrace(
-            packet,
-            mse=np.inf,
-            ser=ser(rec.symbol_indices, sent),
-            pilot=is_pilot,
-            gate=self.gate_open,
+            packet, mse=np.inf, ser=0.0, pilot=packet <= cfg.n_pilot, gate=self.gate_open
         )
-        self.window.append((rec, sent, trace, h_genie))
+        self.window.append((rec, sent, trace, h_true))
         records = [r for r, _, _, _ in self.window]
-        k_s = 1 if self.gate_open else cfg.k_s
         solved = None  # this packet's symbols at its last solve
-        for it in range(k_s):
+        for it in range(1 if self.gate_open else cfg.k_s):
             trace.ks_used = it + 1
+            if not trace.pilot:
+                # decode against the current image, fresher after each solve
+                trace.ser = ser(self._decode(rec, h_true), sent)
             x_old = self.x_hat
             if np.array_equal(rec.symbol_indices, solved):
                 # the same window again: sense is deterministic, so the
@@ -257,13 +250,8 @@ class JointRunner:
                 self.x_hat = np.clip(x, 0.0, 1.0)
                 moved = float(np.linalg.norm(self.x_hat - x_old))
             if moved < self.eps_k:
-                if not self.gate_open:
-                    self.gate_open = True
-                    trace.gate = True
+                self.gate_open = trace.gate = True
                 break
-            if not is_pilot and it + 1 < k_s:
-                # re-decode this packet with the fresher image
-                trace.ser = ser(self._decode(rec, h_genie), sent)
         trace.mse = mse(self.x_hat, self.truth.values)
         trace.wall_ms = (time.perf_counter() - t0) * 1e3
         self._x_hist.append(self.x_hat)
@@ -285,10 +273,10 @@ class JointRunner:
             return
         if float(np.linalg.norm(self.x_hat - self._x_hist[0])) < self.eps_k:
             return
-        for rec, sent, row, h_genie in list(self.window)[-cfg.n_b - 1 : -1]:
+        for rec, sent, row, h_true in list(self.window)[-cfg.n_b - 1 : -1]:
             if row.pilot:
                 continue
-            row.ser_post_feedback = ser(self._decode(rec, h_genie), sent)
+            row.ser_post_feedback = ser(self._decode(rec, h_true), sent)
 
     def run(self) -> RunTrace:
         trace = RunTrace()

@@ -116,13 +116,11 @@ def ser_union_bound(
     if n_pairs > _MAX_PAIR_TERMS:
         rng_p = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         flat = rng_p.choice(n_pairs, size=_MAX_PAIR_TERMS, replace=False)
-        a_idx, off = np.divmod(flat, n_combo - 1)
-        b_idx = off + (off >= a_idx)  # skip the diagonal
-        scale = n_pairs / _MAX_PAIR_TERMS
     else:
-        a_idx, b_idx = np.divmod(np.arange(n_pairs), n_combo - 1)
-        b_idx = b_idx + (b_idx >= a_idx)
-        scale = 1.0
+        flat = np.arange(n_pairs)
+    scale = max(n_pairs / _MAX_PAIR_TERMS, 1.0)
+    a_idx, off = np.divmod(flat, n_combo - 1)
+    b_idx = off + (off >= a_idx)  # skip the diagonal
 
     da, db = _combo_digits(a_idx, m, n_u), _combo_digits(b_idx, m, n_u)
     # per-pair codeword difference, (P, R, N_u)

@@ -213,6 +213,28 @@ def _balanced_supports(n_users, n_ores, d_v):
     return supports
 
 
+def _rebalance(supports, n_ores):
+    """Even out the ORE loads the greedy left unbalanced.
+
+    While the largest load exceeds the smallest by more than one, the last
+    user whose support holds a most-loaded ORE a but not a least-loaded ORE b
+    moves from a to b. Such a user exists since load(a) > load(b), and each
+    move lowers the sum of squared loads, so the pass ends. Balanced supports
+    come back unchanged.
+    """
+    supports = list(supports)
+    loads = np.zeros(n_ores, dtype=np.int64)
+    for sup in supports:
+        loads[list(sup)] += 1
+    while loads.max() - loads.min() > 1:
+        a, b = int(loads.argmax()), int(loads.argmin())
+        u = max(u for u, sup in enumerate(supports) if a in sup and b not in sup)
+        supports[u] = tuple(sorted({*supports[u], b} - {a}))
+        loads[a] -= 1
+        loads[b] += 1
+    return supports
+
+
 def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
     """Generate a phase-rotation codebook with balanced ORE loads.
 
@@ -225,7 +247,7 @@ def build_codebook(n_users, n_ores, m=4, d_v=2) -> Codebook:
         raise CodebookError("d_v cannot exceed the number of OREs")
     if m < 2:  # before the phases below divide by m
         raise CodebookError(f"need M >= 2 codewords per user, got {m}")
-    supports = _balanced_supports(n_users, n_ores, d_v)
+    supports = _rebalance(_balanced_supports(n_users, n_ores, d_v), n_ores)
     lam = [[u for u, sup in enumerate(supports) if r in sup] for r in range(n_ores)]
     mats = np.zeros((n_users, n_ores, m), dtype=complex)
     amp = 1.0 / np.sqrt(d_v)

@@ -226,6 +226,32 @@ def test_self_iteration_skips_the_solve_of_an_unchanged_packet(
         assert solved.count(packet) == 1
 
 
+@pytest.mark.parametrize("decoder", ["mpa", "genie"])
+def test_forward_step_decodes_once_per_self_iteration(
+    monkeypatch, truth, links, codebook, prior, decoder
+):
+    """A pilot is never decoded; any other packet is decoded once at the
+    start of each self-iteration it spends (eps_k = 0 spends all k_s)."""
+    cfg = _cfg(decoder=decoder, k_s=3, n_pilot=2, eps_k=0.0)
+    runner = JointRunner(truth, links, codebook, prior, cfg)
+    decodes = []
+
+    def counted_decode(*args, **kwargs):
+        decodes.append(1)
+        return mpa_decode(*args, **kwargs)
+
+    monkeypatch.setattr("jcas.joint.mpa_decode", counted_decode)
+    rows = []
+    for packet in range(1, cfg.n_packets + 1):
+        decodes.clear()
+        row = runner.forward_step(packet)
+        assert len(decodes) == (0 if row.pilot else row.ks_used), packet
+        rows.append(row)
+        runner.feedback(packet)
+    assert [r.pilot for r in rows] == [True] * 2 + [False] * (cfg.n_packets - 2)
+    assert max(r.ks_used for r in rows if not r.pilot) == cfg.k_s
+
+
 def test_self_iteration_gate_collapses(truth, links, codebook, prior):
     tr = JointRunner(truth, links, codebook, prior, _cfg(k_s=4, n_packets=8)).run()
     ks = tr.column("ks_used")
@@ -316,10 +342,11 @@ def test_feedback_redecodes_non_pilot_packets_in_window(truth, links, codebook, 
     runner = JointRunner(truth, links, codebook, prior, cfg)
     decode, decoded = runner._decode, []
 
-    def counted(rec, h_genie):
-        # None for the forward decode, which runs before its packet is pushed
+    def counted(rec, h_true):
+        # the packet of rec's window entry; the forward step's own decodes
+        # are cleared before feedback runs
         decoded.append(next((row.packet for r, _, row, _ in runner.window if r is rec), None))
-        return decode(rec, h_genie)
+        return decode(rec, h_true)
 
     runner._decode = counted
     rows = []

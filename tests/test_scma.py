@@ -68,6 +68,29 @@ def test_balanced_supports_match_the_tuple_greedy():
                 ), (n_users, n_ores, d_v)
 
 
+def test_every_triple_builds_its_codebook():
+    """A fixed sample of the (n_users <= 120, n_ores <= 10, d_v <= n_ores)
+    grid, plus triples the greedy alone leaves unbalanced: each book builds
+    (Codebook checks the loads), and a balanced greedy pick is kept as is."""
+    grid = [
+        (n_users, n_ores, d_v)
+        for n_users in range(1, 121)
+        for n_ores in range(1, 11)
+        for d_v in range(1, n_ores + 1)
+    ]
+    picks = np.random.default_rng(0).choice(len(grid), size=150, replace=False)
+    repaired = 0
+    for n_users, n_ores, d_v in [grid[i] for i in picks] + [(40, 7, 3), (41, 9, 2)]:
+        greedy = scma._balanced_supports(n_users, n_ores, d_v)
+        cb = build_codebook(n_users, n_ores, m=2, d_v=d_v)
+        loads = np.bincount(np.ravel(greedy), minlength=n_ores)
+        if loads.max() - loads.min() > 1:
+            repaired += 1
+        else:
+            assert list(cb.graph.omega_u) == greedy, (n_users, n_ores, d_v)
+    assert repaired >= 6  # the sample reaches the repair pass
+
+
 def test_support_reuse_allowed_when_needed():
     cb = build_codebook(2, 2, m=2, d_v=2)  # only one possible support
     assert cb.graph.omega_u[0] == cb.graph.omega_u[1]

@@ -66,14 +66,13 @@ def main(argv=None):
             for y, h, cb, sigma2, k_it in calls[w]:
                 mpa.mpa_decode(y, h, cb, sigma2, k_it)
             ms[w].append((time.perf_counter() - t0) * 1e3 / len(calls[w]))
-    threshold = getattr(mpa, "_THREAD_ENTRIES", None)  # None before the helper thread
     for w in WORKLOADS:
         # G * M^L * B of the largest degree group, as mpa_decode counts it
         entries = max(
             y.shape[0] * y.shape[2] * max(len(fns) * cw.shape[2] for fns, _, cw in cb._edges.groups)
             for y, _, cb, _, _ in calls[w]
         )
-        helper = threshold is not None and entries >= threshold
+        helper = entries >= mpa._THREAD_ENTRIES
         print(
             f"{w}: {len(calls[w])} decodes, {entries} table entries, "
             f"{'helper thread' if helper else 'one thread'}, "
